@@ -324,7 +324,6 @@ def test_incremental_retime_vs_full_reanalysis(library, report_writer):
             },
         },
         "machine": {
-            "jobs": attach.meta.jobs,
             "repetitions": reps,
             "edits": [{"label": row["label"],
                        "full_seconds": row["full_seconds"],

@@ -67,15 +67,6 @@ REQUIRED_TRACKED = {
         "nets_per_second_floor": ...,
         "bytes_per_net_ceiling": ...,
         "compile_fraction": ...,
-        # Multi-core sharded sweeps: the parallel phase must run with 4
-        # workers, match the single-shard sweep exactly (0 ULP), and keep its
-        # speedup floor asserted wherever the runner has the cores
-        # (parallel_gate_enforced records whether it did).
-        "shards": 4,
-        "parallel_speedup_floor": 2.0,
-        "parallel_equivalence_exact": True,
-        "boundary_events_exchanged": ...,
-        "parallel_gate_enforced": ...,
     },
     "BENCH_serve.json": {
         # Warm queries are snapshot reads: zero analyses, zero re-timed nets.

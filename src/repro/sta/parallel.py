@@ -1,655 +1,7 @@
-"""Multi-core sharded compiled sweeps over shared-memory planes.
+"""Placeholder left by the removed sharded compiled-sweep driver.
 
-PR 7 shipped the shard seam — :meth:`CompiledGraph.partition` and
-:class:`BoundaryEvents` — but nothing ever ran two regions concurrently.
-This module exploits the seam *within* each level: ``merge_level`` elects
-winners per target group, so restricting a merge to a contiguous sub-range of
-a level's nets is bit-identical to merging the whole level.  Every level is
-therefore cut into ``n_shards`` contiguous net slices, each owned by one
-worker process, and the sweep runs level-synchronized:
-
-1. The parent allocates one :mod:`multiprocessing.shared_memory` block
-   carrying the master :class:`SweepState` planes plus a set of *exchange*
-   planes (``exists`` / ``out_arr`` / ``early_out`` / ``prop_slew``), and
-   forks ``n_shards`` persistent workers connected by duplex pipes.
-2. Each worker sweeps its slice of every level into a private state;
-   cross-shard fanin arrives through :meth:`BoundaryEvents.capture` /
-   :meth:`~BoundaryEvents.inject` against the shared exchange planes at each
-   level barrier (the plan precomputes exactly which net ids each worker
-   must inject and publish per level, so no worker ever scans the graph).
-3. Stage solving stays in the parent: workers reduce their slice to unique
-   ``(stage config, transition, quantized slew)`` keys and ship only those.
-   The parent concatenates all shards' keys and re-uniques them — a
-   lexicographic row sort, so the resulting request list is *identical in
-   content and order* to the single-shard level's — and answers one
-   ``solve_batch`` per level.  This is what makes the sharded run bit-exact:
-   ``solve_batch`` results are sensitive to batch composition at the ~1 ULP
-   level, so workers must never solve locally.
-4. After the last level each worker scatters its owned events into the
-   master planes; the parent copies them out into a fresh
-   :class:`SweepState` indistinguishable from a single-shard sweep's.
-
-The driver raises :class:`ShardedSweepError` on any worker failure;
-:meth:`GraphEngine.analyze_compiled` catches it and finishes single-shard,
-mirroring the serial fallback of the object engine's worker pool.
+Timing analysis is single-process; the module has no code.  It stays only
+because the traced benchmark run (``perfbench/spans.py``, ``Tracer.install``)
+imports ``repro.sta.parallel`` before wrapping its span targets.  Delete it
+once that import is gone.
 """
-
-from __future__ import annotations
-
-import multiprocessing as mp
-import time
-import traceback
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
-
-from .compiled import (TRANSITIONS, BoundaryEvents, CompiledGraph, SweepState,
-                       level_solve_keys, merge_level,
-                       scatter_level_solutions)
-from .graph import TimingGraph
-
-__all__ = ["CompiledStructure", "ShardPlan", "ShardedSweepDriver",
-           "ShardedSweepError", "build_shard_plan", "effective_shards"]
-
-
-class ShardedSweepError(RuntimeError):
-    """A sharded sweep could not start or finish (worker death, timeout, ...).
-
-    Deliberately *not* a :class:`~repro.errors.ReproError`: it signals an
-    infrastructure failure, never a modeling one, and the engine always
-    catches it to fall back to the single-shard sweep.
-    """
-
-
-@dataclass(eq=False)
-class CompiledStructure:
-    """The worker-side slice of a :class:`CompiledGraph`: plain arrays only.
-
-    Everything :func:`merge_level` and :func:`level_solve_keys` read —
-    levelization, fanin CSR, tie-break ranks, stage-config ids — and nothing
-    that does not pickle cheaply (cell characterizations, RLC lines, the
-    fingerprint cache all stay in the parent, which is the only place stages
-    are solved).  Shipped to each worker once per compiled-graph version.
-    """
-
-    level_ptr: np.ndarray  #: int64[n_levels+1], net-id boundaries per level
-    name_rank: np.ndarray  #: int64[n], merge tie-break ordinal source
-    fi_indptr: np.ndarray  #: int64[n+1], CSR fanin row pointers
-    fi_indices: np.ndarray  #: int64[E], fanin sources
-    config_id: np.ndarray  #: int64[n], stage-configuration id per net
-
-    @classmethod
-    def from_compiled(cls, cg: CompiledGraph) -> "CompiledStructure":
-        return cls(level_ptr=cg.level_ptr, name_rank=cg.name_rank,
-                   fi_indptr=cg.fi_indptr, fi_indices=cg.fi_indices,
-                   config_id=cg.config_id)
-
-    @property
-    def n_nets(self) -> int:
-        return len(self.config_id)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.level_ptr) - 1
-
-
-@dataclass(eq=False)
-class ShardPlan:
-    """Who owns which nets, and which net ids cross shard frontiers per level.
-
-    ``owner[net]`` is the shard whose slice of the net's level contains it
-    (slice ``k`` of a ``w``-wide level spans ``[k*w//S, (k+1)*w//S)``, so
-    ownership is contiguous within each level).  ``inject_nets[k][level]``
-    are the foreign source nets shard ``k`` must pull from the exchange
-    planes before merging its level-``level`` slice; ``publish_nets[k][level]``
-    are shard ``k``'s own level-``level`` nets with at least one cross-shard
-    consumer, pushed to the exchange planes after solving.  Both are exact
-    (derived from the fanin CSR), so exchange traffic is proportional to the
-    cut, not the graph.
-    """
-
-    n_shards: int
-    owner: np.ndarray  #: int32[n], owning shard per net
-    inject_nets: List[List[np.ndarray]]  #: [shard][level] -> foreign source net ids
-    publish_nets: List[List[np.ndarray]]  #: [shard][level] -> owned net ids to publish
-
-    def shard_slice(self, structure: CompiledStructure, shard: int,
-                    level: int) -> Tuple[int, int]:
-        """Net-id bounds of ``shard``'s slice of ``level``."""
-        lo = int(structure.level_ptr[level])
-        width = int(structure.level_ptr[level + 1]) - lo
-        return (lo + (shard * width) // self.n_shards,
-                lo + ((shard + 1) * width) // self.n_shards)
-
-
-_EMPTY_NETS = np.empty(0, dtype=np.int64)
-
-
-def effective_shards(cg: CompiledGraph, jobs: int) -> int:
-    """How many shards ``jobs`` can usefully cut this graph into.
-
-    Sharding is intra-level, so the widest level bounds the useful worker
-    count; anything below two shards means the plain single-shard sweep.
-    """
-    if jobs <= 1 or cg.n_levels == 0:
-        return 1
-    widest = int(np.max(np.diff(cg.level_ptr)))
-    return max(1, min(jobs, widest))
-
-
-def _group_by_shard_level(shard_keys: np.ndarray, level_keys: np.ndarray,
-                          nets: np.ndarray, n_shards: int,
-                          n_levels: int) -> List[List[np.ndarray]]:
-    """Bucket ``nets`` by (shard, level) key pair, each bucket sorted unique."""
-    out = [[_EMPTY_NETS] * n_levels for _ in range(n_shards)]
-    if nets.size:
-        order = np.lexsort((nets, level_keys, shard_keys))
-        shards = shard_keys[order]
-        levels = level_keys[order]
-        values = nets[order]
-        change = np.flatnonzero((shards[1:] != shards[:-1])
-                                | (levels[1:] != levels[:-1])) + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [values.size]))
-        for start, end in zip(starts, ends):
-            out[int(shards[start])][int(levels[start])] = np.unique(
-                values[start:end])
-    return out
-
-
-def build_shard_plan(structure: CompiledStructure, n_shards: int) -> ShardPlan:
-    """Cut every level into ``n_shards`` slices and plan the frontier traffic."""
-    n = structure.n_nets
-    n_levels = structure.n_levels
-    owner = np.empty(n, dtype=np.int32)
-    for level in range(n_levels):
-        lo = int(structure.level_ptr[level])
-        width = int(structure.level_ptr[level + 1]) - lo
-        for k in range(n_shards):
-            owner[lo + (k * width) // n_shards:
-                  lo + ((k + 1) * width) // n_shards] = k
-    sources = structure.fi_indices
-    targets = np.repeat(np.arange(n, dtype=np.int64),
-                        np.diff(structure.fi_indptr))
-    cross = owner[sources] != owner[targets]
-    cross_src = sources[cross]
-    cross_dst = targets[cross]
-    dst_level = np.searchsorted(structure.level_ptr, cross_dst,
-                                side="right") - 1
-    src_level = np.searchsorted(structure.level_ptr, cross_src,
-                                side="right") - 1
-    inject = _group_by_shard_level(owner[cross_dst], dst_level, cross_src,
-                                   n_shards, n_levels)
-    publish = _group_by_shard_level(owner[cross_src], src_level, cross_src,
-                                    n_shards, n_levels)
-    return ShardPlan(n_shards=n_shards, owner=owner,
-                     inject_nets=inject, publish_nets=publish)
-
-
-# --- shared-memory plane layout --------------------------------------------------
-
-#: SweepState float64 planes, in carve order.
-_STATE_FLOAT = ("in_arr", "early_in", "merged_slew", "in_slew", "out_arr",
-                "early_out", "delay", "prop_slew")
-#: SweepState int64 planes.
-_STATE_INT = ("src", "early_src", "sol_idx")
-#: Exchange float64 planes (the BoundaryEvents payload).
-_EXCHANGE_FLOAT = ("out_arr", "early_out", "prop_slew")
-
-
-class ExchangePlanes:
-    """The shared cross-shard frontier: the four planes BoundaryEvents touches.
-
-    Shaped exactly like the :class:`SweepState` attributes
-    :meth:`BoundaryEvents.capture` reads and :meth:`BoundaryEvents.inject`
-    writes, so boundary packets move through it without any adapter code.
-    """
-
-    __slots__ = ("exists", "out_arr", "early_out", "prop_slew")
-
-    def __init__(self, exists: np.ndarray, out_arr: np.ndarray,
-                 early_out: np.ndarray, prop_slew: np.ndarray) -> None:
-        self.exists = exists
-        self.out_arr = out_arr
-        self.early_out = early_out
-        self.prop_slew = prop_slew
-
-
-def shared_plane_bytes(n_events: int) -> int:
-    """Size of the shared block: 11 state + 3 exchange 8-byte planes + 2 bools."""
-    per_event = (len(_STATE_FLOAT) + len(_STATE_INT)
-                 + len(_EXCHANGE_FLOAT)) * 8 + 2
-    return max(1, n_events * per_event)
-
-
-def carve_shared_planes(buf: memoryview,
-                        n_events: int) -> Tuple[SweepState, ExchangePlanes]:
-    """Carve the shared block into (master state, exchange planes) views.
-
-    Eight-byte planes come first so every array stays naturally aligned; the
-    two ``exists`` bool planes close the block.  Callers must drop every
-    returned array before closing the backing ``SharedMemory`` — numpy views
-    hold exported buffer pointers and ``close()`` refuses while they live.
-    """
-    offset = 0
-
-    def take(dtype: np.dtype) -> np.ndarray:
-        nonlocal offset
-        array = np.frombuffer(buf, dtype=dtype, count=n_events, offset=offset)
-        offset += n_events * array.itemsize
-        return array
-
-    fields: Dict[str, np.ndarray] = {
-        name: take(np.dtype(np.float64)) for name in _STATE_FLOAT}
-    for name in _STATE_INT:
-        fields[name] = take(np.dtype(np.int64))
-    exchange_fields = {
-        name: take(np.dtype(np.float64)) for name in _EXCHANGE_FLOAT}
-    fields["exists"] = take(np.dtype(np.bool_))
-    exchange_exists = take(np.dtype(np.bool_))
-    return (SweepState(**fields),
-            ExchangePlanes(exists=exchange_exists, **exchange_fields))
-
-
-def reset_shared_planes(master: SweepState, exchange: ExchangePlanes) -> None:
-    """Restore the shared planes to :meth:`SweepState.empty` defaults."""
-    for name in _STATE_FLOAT:
-        getattr(master, name)[:] = 0.0
-    for name in _STATE_INT:
-        getattr(master, name)[:] = -1
-    master.exists[:] = False
-    for name in _EXCHANGE_FLOAT:
-        getattr(exchange, name)[:] = 0.0
-    exchange.exists[:] = False
-
-
-def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without adopting cleanup responsibility.
-
-    The parent owns the block's lifetime; Python 3.13 grew ``track=False``
-    for exactly this.  On earlier interpreters the attach re-registers the
-    name with the resource tracker — harmless here, because forked workers
-    share the parent's tracker process and its cache is a set, so the
-    parent's eventual ``unlink()`` retires the single entry.  (Explicitly
-    ``unregister``-ing in the worker would instead make that ``unlink()``
-    trip a tracker KeyError.)
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
-
-
-# --- worker side -----------------------------------------------------------------
-
-def _worker_sweep(conn, shard: int, structure: CompiledStructure,
-                  plan_shards: int, inject_nets: List[np.ndarray],
-                  publish_nets: List[np.ndarray], master: SweepState,
-                  exchange: ExchangePlanes, seed_events: np.ndarray,
-                  seed_arrival: np.ndarray, seed_slew: np.ndarray,
-                  quantum: Optional[float]) -> Dict[str, int]:
-    """One full forward sweep of this shard's slices, level-synchronized."""
-    n_events = 2 * structure.n_nets
-    local = SweepState.empty(n_events)
-    local.exists[seed_events] = True
-    local.in_arr[seed_events] = seed_arrival
-    local.early_in[seed_events] = seed_arrival
-    local.merged_slew[seed_events] = seed_slew
-    injected = published = 0
-    owned_events: List[np.ndarray] = []
-    for level in range(structure.n_levels):
-        if level:
-            # Level barrier: the parent releases the next level only after
-            # every shard has published level-1 (roots have no fanin, so
-            # level 0 starts immediately).
-            message = conn.recv()
-            if message[0] != "go":
-                raise ShardedSweepError(
-                    f"shard {shard}: expected 'go', got {message[0]!r}")
-        inbound = BoundaryEvents.capture(exchange, inject_nets[level])
-        inbound.inject(local)
-        injected += len(inbound.events)
-        lo = int(structure.level_ptr[level])
-        width = int(structure.level_ptr[level + 1]) - lo
-        slice_lo = lo + (shard * width) // plan_shards
-        slice_hi = lo + ((shard + 1) * width) // plan_shards
-        events = merge_level(structure, local, slice_lo, slice_hi)
-        if events.size:
-            unique, inverse = level_solve_keys(structure, local, events,
-                                               quantum)
-        else:
-            unique = np.empty((0, 3), dtype=np.float64)
-            inverse = np.empty(0, dtype=np.intp)
-        conn.send(("keys", unique))
-        reply = conn.recv()
-        if reply[0] != "sol":
-            raise ShardedSweepError(
-                f"shard {shard}: expected 'sol', got {reply[0]!r}")
-        _, sol_ids, delays, prop_slews = reply
-        if events.size:
-            scatter_level_solutions(local, events, sol_ids[inverse],
-                                    delays[inverse], prop_slews[inverse])
-            owned_events.append(events)
-        outbound = BoundaryEvents.capture(local, publish_nets[level])
-        outbound.inject(exchange)
-        published += len(outbound.events)
-        conn.send(("done",))
-    if owned_events:
-        owned = np.concatenate(owned_events)
-        for master_plane, local_plane in zip(master.planes(), local.planes()):
-            master_plane[owned] = local_plane[owned]
-    return {"injected": injected, "published": published}
-
-
-def _shard_worker_main(conn, shard: int) -> None:
-    """Worker command loop: ``structure`` / ``attach`` / ``sweep`` / ``close``."""
-    structure: Optional[CompiledStructure] = None
-    inject_nets: List[np.ndarray] = []
-    publish_nets: List[np.ndarray] = []
-    plan_shards = 0
-    shm: Optional[shared_memory.SharedMemory] = None
-    master: Optional[SweepState] = None
-    exchange: Optional[ExchangePlanes] = None
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message[0] == "close":
-                break
-            try:
-                if message[0] == "structure":
-                    _, structure, inject_nets, publish_nets, plan_shards = \
-                        message
-                elif message[0] == "attach":
-                    _, name, n_events = message
-                    master = exchange = None  # drop views before close()
-                    if shm is not None:
-                        shm.close()
-                    shm = _attach_shared_memory(name)
-                    master, exchange = carve_shared_planes(shm.buf, n_events)
-                elif message[0] == "sweep":
-                    _, seed_events, seed_arrival, seed_slew, quantum = message
-                    counters = _worker_sweep(
-                        conn, shard, structure, plan_shards, inject_nets,
-                        publish_nets, master, exchange, seed_events,
-                        seed_arrival, seed_slew, quantum)
-                    conn.send(("swept", counters))
-                else:
-                    conn.send(("error", f"unknown command {message[0]!r}"))
-            except (EOFError, OSError):
-                break
-            except Exception:
-                try:
-                    conn.send(("error", traceback.format_exc()))
-                except (OSError, ValueError):
-                    break
-    finally:
-        master = exchange = None
-        if shm is not None:
-            try:
-                shm.close()
-            except BufferError:
-                pass
-        conn.close()
-
-
-# --- parent side -----------------------------------------------------------------
-
-@dataclass(eq=False)
-class _ShardWorker:
-    process: "mp.process.BaseProcess"
-    conn: Any  #: duplex Connection to the worker
-
-
-class ShardedSweepDriver:
-    """Owns the worker fleet, the shared planes, and the level-barrier loop.
-
-    Persistent by design: the engine keeps one driver per shard count and
-    reuses its forked workers, shared-memory block, and shipped
-    :class:`ShardPlan` across analyses (they are invalidated by compiled-graph
-    version, event-count, or shard-count changes).  All methods are
-    parent-process only.  Any worker failure surfaces as
-    :class:`ShardedSweepError` after :meth:`close` tears the fleet down, so a
-    later sweep starts from a clean slate.
-    """
-
-    def __init__(self, n_shards: int, *, timeout: float = 120.0) -> None:
-        if n_shards < 2:
-            raise ShardedSweepError("a sharded sweep needs at least 2 shards")
-        self.n_shards = n_shards
-        self.timeout = timeout
-        self._workers: List[_ShardWorker] = []
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        self._shm_events = 0
-        self._master: Optional[SweepState] = None
-        self._exchange: Optional[ExchangePlanes] = None
-        self._plan: Optional[ShardPlan] = None
-        self._structure: Optional[CompiledStructure] = None
-        self._plan_cg: Optional[CompiledGraph] = None
-        self._plan_version = -1
-        self._plan_seq = 0
-        self._workers_plan_seq = -1
-        self._workers_attached_events = 0
-
-    # --- lifecycle -------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the workers and release the shared block (idempotent)."""
-        for worker in self._workers:
-            try:
-                worker.conn.send(("close",))
-            except (OSError, ValueError):
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=2.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        self._workers = []
-        self._workers_plan_seq = -1
-        self._workers_attached_events = 0
-        self._master = self._exchange = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:
-                pass
-            try:
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-            self._shm = None
-            self._shm_events = 0
-
-    def _ensure_workers(self) -> None:
-        if self._workers:
-            return
-        context = mp.get_context()
-        workers: List[_ShardWorker] = []
-        try:
-            # Start the parent's resource tracker *before* forking, so every
-            # worker inherits it: a worker that forks trackerless spawns a
-            # private tracker on attach and "unlinks the leak" at exit,
-            # spraying warnings for a segment the parent still owns.
-            from multiprocessing import resource_tracker
-            resource_tracker.ensure_running()
-            for shard in range(self.n_shards):
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=_shard_worker_main, args=(child_conn, shard),
-                    daemon=True, name=f"repro-shard-{shard}")
-                process.start()
-                child_conn.close()
-                workers.append(_ShardWorker(process=process, conn=parent_conn))
-        except (OSError, ImportError, ValueError) as exc:
-            for worker in workers:
-                worker.process.terminate()
-                worker.conn.close()
-            raise ShardedSweepError(
-                f"could not start shard workers ({exc!r})") from exc
-        self._workers = workers
-        # Fresh processes know nothing: force structure + attach broadcasts.
-        self._workers_plan_seq = -1
-        self._workers_attached_events = 0
-
-    def _ensure_shared(self, n_events: int) -> None:
-        if self._shm is not None and self._shm_events == n_events:
-            return
-        self._master = self._exchange = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:
-                pass
-            try:
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-            self._shm = None
-        try:
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=shared_plane_bytes(n_events))
-        except (OSError, ValueError) as exc:
-            raise ShardedSweepError(
-                f"could not allocate shared planes ({exc!r})") from exc
-        self._shm_events = n_events
-        self._master, self._exchange = carve_shared_planes(
-            self._shm.buf, n_events)
-        self._workers_attached_events = 0
-
-    def _ensure_plan(self, cg: CompiledGraph) -> None:
-        if self._plan_cg is cg and self._plan_version == cg.version:
-            return
-        self._structure = CompiledStructure.from_compiled(cg)
-        self._plan = build_shard_plan(self._structure, self.n_shards)
-        self._plan_cg = cg
-        self._plan_version = cg.version
-        self._plan_seq += 1
-
-    # --- messaging -------------------------------------------------------------
-    def _send(self, worker: _ShardWorker, message: Tuple) -> None:
-        try:
-            worker.conn.send(message)
-        except (OSError, ValueError) as exc:
-            raise ShardedSweepError(
-                f"shard worker pipe broke on send ({exc!r})") from exc
-
-    def _recv(self, worker: _ShardWorker, expected: str) -> Tuple:
-        deadline = time.monotonic() + self.timeout
-        try:
-            while not worker.conn.poll(0.05):
-                if not worker.process.is_alive():
-                    raise ShardedSweepError("shard worker died mid-sweep")
-                if time.monotonic() > deadline:
-                    raise ShardedSweepError(
-                        f"shard worker silent for {self.timeout:.0f}s")
-            message = worker.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise ShardedSweepError(
-                f"shard worker pipe broke on receive ({exc!r})") from exc
-        if message[0] == "error":
-            raise ShardedSweepError(
-                f"shard worker failed:\n{message[1]}")
-        if message[0] != expected:
-            raise ShardedSweepError(
-                f"expected {expected!r} from shard worker, got {message[0]!r}")
-        return message
-
-    # --- the sweep -------------------------------------------------------------
-    def _shard_seeds(self, cg: CompiledGraph, graph: TimingGraph
-                     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Split the live primary-input stimuli by owning shard."""
-        primaries = graph.primary_inputs
-        count = len(primaries)
-        events = np.empty(count, dtype=np.int64)
-        arrivals = np.empty(count, dtype=np.float64)
-        slews = np.empty(count, dtype=np.float64)
-        for i, (name, primary) in enumerate(primaries.items()):
-            events[i] = (cg.index[name] * 2
-                         + TRANSITIONS.index(primary.transition))
-            arrivals[i] = primary.arrival
-            slews[i] = primary.slew
-        owner = self._plan.owner[events >> 1]
-        seeds = []
-        for shard in range(self.n_shards):
-            mask = owner == shard
-            seeds.append((events[mask], arrivals[mask], slews[mask]))
-        return seeds
-
-    def sweep(self, cg: CompiledGraph, graph: TimingGraph, *,
-              solve_unique: Callable[[np.ndarray],
-                                     Tuple[int, np.ndarray, np.ndarray]],
-              quantum: Optional[float]) -> Tuple[SweepState, Dict[str, int]]:
-        """Run one sharded forward sweep; returns (state, counters).
-
-        ``solve_unique`` is the parent-side solver hook: it receives the
-        level's globally-unique key rows (same content and order as the
-        single-shard sweep's) and returns ``(base, delays, prop_slews)``
-        where ``base`` is the first solution's index in the analysis's
-        solution list.  The returned state is a fresh private copy — callers
-        never see the shared planes.
-        """
-        try:
-            self._ensure_plan(cg)
-            self._ensure_workers()
-            n_events = 2 * cg.n_nets
-            self._ensure_shared(n_events)
-            if self._workers_plan_seq != self._plan_seq:
-                for shard, worker in enumerate(self._workers):
-                    self._send(worker, (
-                        "structure", self._structure,
-                        self._plan.inject_nets[shard],
-                        self._plan.publish_nets[shard], self.n_shards))
-                self._workers_plan_seq = self._plan_seq
-            if self._workers_attached_events != n_events:
-                for worker in self._workers:
-                    self._send(worker, ("attach", self._shm.name, n_events))
-                self._workers_attached_events = n_events
-            reset_shared_planes(self._master, self._exchange)
-            for worker, seed in zip(self._workers,
-                                    self._shard_seeds(cg, graph)):
-                self._send(worker, ("sweep", *seed, quantum))
-            empty_ids = np.empty(0, dtype=np.int64)
-            empty_f = np.empty(0, dtype=np.float64)
-            for level in range(cg.n_levels):
-                if level:
-                    for worker in self._workers:
-                        self._send(worker, ("go",))
-                uniques = [self._recv(worker, "keys")[1]
-                           for worker in self._workers]
-                counts = [u.shape[0] for u in uniques]
-                if sum(counts):
-                    merged = np.concatenate(uniques)
-                    unique, inverse = np.unique(merged, axis=0,
-                                                return_inverse=True)
-                    inverse = inverse.reshape(-1)
-                    base, delays, prop_slews = solve_unique(unique)
-                    offset = 0
-                    for worker, count in zip(self._workers, counts):
-                        part = inverse[offset:offset + count]
-                        offset += count
-                        self._send(worker, ("sol", base + part,
-                                            delays[part], prop_slews[part]))
-                else:
-                    for worker in self._workers:
-                        self._send(worker, ("sol", empty_ids, empty_f,
-                                            empty_f))
-                for worker in self._workers:
-                    self._recv(worker, "done")
-            counters = [self._recv(worker, "swept")[1]
-                        for worker in self._workers]
-        except ShardedSweepError:
-            self.close()
-            raise
-        state = SweepState.empty(n_events)
-        for fresh, shared in zip(state.planes(), self._master.planes()):
-            np.copyto(fresh, shared)
-        exchanged = sum(c["injected"] + c["published"] for c in counters)
-        return state, {"boundary_events_exchanged": exchanged}

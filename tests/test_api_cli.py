@@ -1,11 +1,15 @@
 """The ``python -m repro`` CLI: parsing, timing runs, report round trip."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import TimingReport, TimingSession
 from repro.api.cli import build_parser, main
+
+#: Saved-report fixtures.
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestParser:
@@ -32,11 +36,17 @@ class TestParser:
     def test_serve_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--case", "chain3", "--case", "bench",
-             "--nets", "32", "--clock", "900", "--jobs", "2"])
+             "--nets", "32", "--clock", "900"])
         assert args.port == 0 and args.socket is None
         assert args.case == ["chain3", "bench"]
         assert args.clock == 900.0
-        assert args.jobs == 2
+
+    @pytest.mark.parametrize("command", ["time", "bench", "serve"])
+    def test_analysis_commands_have_no_jobs_flag(self, command, capsys):
+        # Analysis is single-process; only characterize takes --jobs.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--jobs", "2"])
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_serve_port_and_socket_conflict(self, capsys):
         with pytest.raises(SystemExit):
@@ -163,6 +173,9 @@ class TestReportDiffCommand:
             paths[label] = root / f"{label}.json"
             assert main(["time", "--case", "diamond", "--clock", clock,
                          "--json", str(paths[label])]) == 0
+        paths["chain3"] = root / "chain3.json"
+        assert main(["time", "--case", "chain3", "--clock", "900",
+                     "--json", str(paths["chain3"])]) == 0
         return paths
 
     def test_diff_without_regression_exits_zero(self, saved, capsys):
@@ -192,6 +205,24 @@ class TestReportDiffCommand:
         assert "WHS regression" in capsys.readouterr().out
         assert main(["report", "--diff", str(paths["tight"]),
                      str(paths["loose"])]) == 0
+
+    def test_diff_against_report_with_retired_meta_keys(self, saved, capsys):
+        # A report saved while analysis still ran worker pools (its meta
+        # carries jobs/installed/shard counters) diffs against a fresh one.
+        old = DATA / "chain3_report_with_retired_meta.json"
+        fresh = saved["chain3"]
+        assert main(["report", str(old)]) == 0
+        assert main(["report", "--diff", str(old), str(fresh)]) == 0
+        assert "no slack regression" in capsys.readouterr().out
+
+    def test_unknown_meta_key_is_reported_not_crashed(self, saved, tmp_path,
+                                                     capsys):
+        payload = json.loads(saved["loose"].read_text())
+        payload["meta"]["bogus"] = 1
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) == 2
+        assert "unknown RunInfo field(s): ['bogus']" in capsys.readouterr().err
 
     def test_diff_and_path_are_exclusive(self, saved, capsys):
         assert main(["report", str(saved["loose"]), "--diff",

@@ -94,6 +94,23 @@ class TestLosslessRoundTrip:
         with pytest.raises(ModelingError):
             TimingReport.from_dict(payload)
 
+    def test_retired_meta_keys_are_dropped_on_load(self, diamond_report):
+        # Reports written while analysis still ran worker pools carry five
+        # run-metadata keys that no longer exist; they load and drop them.
+        retired = {"jobs": 4, "installed": 3, "shards": 4,
+                   "boundary_events_exchanged": 123, "parallel_sweep": True}
+        payload = diamond_report.to_dict()
+        payload["meta"].update(retired)
+        loaded = TimingReport.from_dict(payload)
+        assert loaded == diamond_report
+        assert set(loaded.to_dict()["meta"]).isdisjoint(retired)
+
+    def test_unknown_meta_key_is_a_typed_error(self, diamond_report):
+        payload = diamond_report.to_dict()
+        payload["meta"]["bogus"] = 1
+        with pytest.raises(ModelingError, match="unknown RunInfo field.*bogus"):
+            TimingReport.from_dict(payload)
+
 
 class TestStabilityAcrossRuns:
     def test_chain_serialization_is_run_independent(self, chain_report,

@@ -251,11 +251,6 @@ class TestHTTP:
         stats = client.design_stats(attached)
         assert stats["edit_batches"] >= 1
         assert stats["last_run"]["retimed_nets"] <= 3
-        # The PR-9 sharded-sweep counters ride along in every run payload
-        # (None/False here: serve designs re-time on the object engine).
-        for counter in ("shards", "boundary_events_exchanged",
-                        "parallel_sweep"):
-            assert counter in stats["last_run"]
 
     def test_attach_spec_detach(self, client):
         summary = client.attach("custom", spec=SPEC)

@@ -10,8 +10,6 @@ The contract under test, layer by layer:
 * results are independent of net declaration order (the vectorized lexsort
   tie-break mirrors the object engine's ``max()`` over (arrival, slew, source)
   tuples);
-* the levelized-partition seam (``partitions=N`` with explicit boundary-event
-  exchange) is bit-identical to the monolithic sweep;
 * :class:`StreamingTimingReport` answers every report query like the eager
   report and serializes to the identical payload;
 * the session routes large graphs through the compiled path by
@@ -71,12 +69,11 @@ def shared_session(solver, **config) -> TimingSession:
     return session
 
 
-def assert_equivalent(engine, graph, *, mode="both", partitions=None):
+def assert_equivalent(engine, graph, *, mode="both"):
     """Object-engine and compiled analyses of ``graph`` are exactly equal."""
     report = engine.analyze(graph, mode=mode)
     compiled = engine.compile(graph)
-    analysis = engine.analyze_compiled(graph, compiled=compiled, mode=mode,
-                                       partitions=partitions)
+    analysis = engine.analyze_compiled(graph, compiled=compiled, mode=mode)
     n_events = sum(len(per_net) for per_net in report.events.values())
     assert analysis.n_events == n_events
     for name, per_net in report.events.items():
@@ -132,17 +129,11 @@ class TestCompiledEquivalence:
         for name in graph.nets:
             assert baseline.events_of(name) == analysis.events_of(name)
 
-    def test_partitioned_sweep_is_bit_identical(self, engine, lines):
-        rng = random.Random(84)
-        graph = random_dag(rng, lines, n_nets=20)
-        constrain_randomly(rng, graph)
-        assert_equivalent(engine, graph, partitions=3)
-
     def test_soc_graph_shape_and_equivalence(self, engine):
         graph = soc_graph(125)
         assert len(graph) == 125
         graph.set_clock_period(ps(1500), hold_margin=0.0)
-        analysis = assert_equivalent(engine, graph, partitions=2)
+        analysis = assert_equivalent(engine, graph)
         assert analysis.worst_endpoint_slack("setup") is not None
         assert analysis.worst_endpoint_slack("hold") is not None
 
