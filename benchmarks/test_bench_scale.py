@@ -18,8 +18,10 @@ acceptance gate, in three phases (one shared session, one memoized solver):
 3. **100k cold, fresh subprocess** — build + compile + analyze 100k nets in a
    child interpreter (``ru_maxrss`` is a process-lifetime high-water mark, so
    the memory gate needs a process that has never held a bigger allocation).
-   Gates: warm throughput >= ``NETS_PER_SECOND_FLOOR`` nets/s and peak-RSS
-   growth over the post-import baseline <= ``BYTES_PER_NET_CEILING`` per net.
+   Gates: warm throughput >= ``NETS_PER_SECOND_FLOOR`` nets/s, peak-RSS
+   growth over the post-import baseline <= ``BYTES_PER_NET_CEILING`` per net,
+   and a warm top-20 endpoint slack table (``endpoint_slacks()[:20]``,
+   best-of-3) within ``SLACK_TABLE_CEILING_S``.
 
 Results land in ``benchmarks/reports/scale.txt`` and
 ``benchmarks/reports/BENCH_scale.json``.  The JSON ``tracked`` section pins
@@ -62,6 +64,11 @@ NETS_PER_SECOND_FLOOR = 50_000
 #: allocator and platform variance).
 BYTES_PER_NET_CEILING = 2048
 
+#: Ceiling on a warm ``endpoint_slacks()[:20]`` of the 100k report (measured
+#: ~2 ms with the lexsort-ordered lazy table; sorting one materialized record
+#: per endpoint took ~0.16 s, which this gate rejects).
+SLACK_TABLE_CEILING_S = 0.02
+
 #: Clock constraint applied at every size (met on the critical path, so both
 #: planes carry finite slacks).
 CLOCK_PS = 1500.0
@@ -99,6 +106,13 @@ with TimingSession() as session:
         laps.append(time.perf_counter() - started)
         assert warm.meta.compile_seconds == 0.0  # cache hit: same version
     warm_seconds = min(laps)
+    laps = []
+    for _ in range(3):
+        started = time.perf_counter()
+        top = warm.endpoint_slacks()[:20]
+        laps.append(time.perf_counter() - started)
+    assert len(top) == 20
+    slack_table_seconds = min(laps)
     print(json.dumps({{
         "nets": len(graph),
         "levels": graph.n_levels,
@@ -109,6 +123,7 @@ with TimingSession() as session:
         "cold_seconds": cold_seconds,
         "compile_seconds": cold.meta.compile_seconds,
         "warm_seconds": warm_seconds,
+        "slack_table_seconds": slack_table_seconds,
         "worst_slack_ps": warm.worst_slack * 1e12,
         "baseline_rss_bytes": baseline,
         "peak_rss_bytes": peak_rss_bytes(),
@@ -189,6 +204,7 @@ def test_scale_tier(library, report_writer):
             "speedup_floor_10k": SPEEDUP_FLOOR_10K,
             "nets_per_second_floor": NETS_PER_SECOND_FLOOR,
             "bytes_per_net_ceiling": BYTES_PER_NET_CEILING,
+            "slack_table_ceiling_s": SLACK_TABLE_CEILING_S,
             # Volatile: compared for presence, not value (see
             # scripts/compare_bench_reports.py VOLATILE_TRACKED).
             "compile_fraction": round(compile_fraction, 3),
@@ -206,6 +222,7 @@ def test_scale_tier(library, report_writer):
             "compile_seconds_100k": round(full["compile_seconds"], 3),
             "warm_seconds_100k": round(full["warm_seconds"], 4),
             "nets_per_second_100k": round(nets_per_second),
+            "slack_table_seconds_100k": round(full["slack_table_seconds"], 5),
             "bytes_per_net_100k": round(bytes_per_net),
             "worst_slack_ps_100k": round(full["worst_slack_ps"], 3),
         },
@@ -228,6 +245,9 @@ def test_scale_tier(library, report_writer):
         f"warm analyze {full['warm_seconds'] * 1e3:.0f} ms",
         f"  100k throughput      : {nets_per_second:,.0f} nets/s "
         f"(floor {NETS_PER_SECOND_FLOOR:,})",
+        f"  100k slack table     : top 20 of {full['endpoints']} endpoints "
+        f"in {full['slack_table_seconds'] * 1e3:.1f} ms "
+        f"(ceiling {SLACK_TABLE_CEILING_S * 1e3:.0f} ms)",
         f"  100k peak RSS growth : {rss_delta / 1e6:.1f} MB = "
         f"{bytes_per_net:.0f} bytes/net (ceiling {BYTES_PER_NET_CEILING})",
         f"  machine-readable     : {json_path.name}",
@@ -238,3 +258,4 @@ def test_scale_tier(library, report_writer):
     assert speedup_10k >= SPEEDUP_FLOOR_10K
     assert nets_per_second >= NETS_PER_SECOND_FLOOR
     assert bytes_per_net <= BYTES_PER_NET_CEILING
+    assert full["slack_table_seconds"] <= SLACK_TABLE_CEILING_S

@@ -66,6 +66,7 @@ REQUIRED_TRACKED = {
         "nets": 100000,  # the scale tier really runs at 100k nets
         "nets_per_second_floor": ...,
         "bytes_per_net_ceiling": ...,
+        "slack_table_ceiling_s": 0.02,  # the warm top-20 slack table gate
         "compile_fraction": ...,
     },
     "BENCH_serve.json": {

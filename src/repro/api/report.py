@@ -33,6 +33,7 @@ purpose, producing plain payloads.
 from __future__ import annotations
 
 import json
+import operator
 from collections import abc
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -45,8 +46,10 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..errors import ModelingError
@@ -579,7 +582,7 @@ class TimingReport:
             return None
         return min(worst, 0.0)
 
-    def endpoint_slacks(self, *, mode: str = "setup") -> List[TimingEvent]:
+    def endpoint_slacks(self, *, mode: str = "setup") -> Sequence[TimingEvent]:
         """``mode``-constrained endpoint events, worst (smallest) slack first."""
         check_mode(mode)
         events = [
@@ -590,7 +593,7 @@ class TimingReport:
         ]
         return sorted(events, key=lambda e: (e.slack_for(mode), e.net, e.input_transition))
 
-    def hold_slacks(self) -> List[TimingEvent]:
+    def hold_slacks(self) -> Sequence[TimingEvent]:
         """Hold-constrained endpoint events, worst (smallest) hold slack first."""
         return self.endpoint_slacks(mode="hold")
 
@@ -820,10 +823,13 @@ class StreamingTimingReport(TimingReport):
 
     Construction is O(critical path): no per-event records are built up
     front.  Summary queries (``n_events``, ``constrained``, WNS/WHS) run as
-    array reductions; per-net queries materialize just that net;
-    ``endpoint_slacks`` / ``format_slack_table`` materialize endpoint events
-    only.  Full materialization happens exactly where it must — ``to_dict`` /
-    ``save`` — so saved payloads are plain reports, loadable anywhere.
+    array reductions; per-net queries materialize just that net.
+    ``endpoint_slacks`` orders the constrained endpoint event ids with one
+    ``lexsort`` and returns a read-only sequence that builds a row only when
+    it is indexed, sliced or iterated, so a top-N table (and
+    ``format_slack_table``) costs N records, not one per endpoint.  Full
+    materialization happens exactly where it must — ``to_dict`` / ``save`` —
+    so saved payloads are plain reports, loadable anywhere.
     """
 
     analysis: Optional[Any] = None  #: the backing CompiledAnalysis
@@ -936,18 +942,59 @@ class StreamingTimingReport(TimingReport):
     def _worst_endpoint_slack(self, mode: str) -> Optional[float]:
         return self.analysis.worst_endpoint_slack(mode)
 
-    def endpoint_slacks(self, *, mode: str = "setup") -> List[TimingEvent]:
+    def endpoint_slacks(self, *, mode: str = "setup") -> Sequence[TimingEvent]:
         """``mode``-constrained endpoint events, worst (smallest) slack first.
 
-        Materializes endpoint events only — the table never touches the
-        O(graph) interior.
+        Same order as the eager table's ``(slack, net, input_transition)``
+        sort: one ``lexsort`` by slack, then by the ordinal
+        ``name_rank * 2 + transition`` (the rank of the net's name in sorted
+        name order; fall=0 sorts before rise=1, as the names do).  Rows
+        materialize on access only.
         """
         check_mode(mode)
         analysis = self.analysis
-        events = [
-            analysis.timing_event(int(e)) for e in analysis.endpoint_event_ids(mode)
-        ]
-        return sorted(events, key=lambda e: (e.slack_for(mode), e.net, e.input_transition))
+        import numpy as np  # local: keep report import light for plain loads
+
+        ids = analysis.endpoint_event_ids(mode)
+        ordinal = analysis.graph.name_rank[ids >> 1] * 2 + (ids & 1)
+        slack = analysis.slack_plane(mode)[ids]
+        return _SlackTable(analysis, ids[np.lexsort((ordinal, slack))])
+
+
+class _SlackTable(abc.Sequence):
+    """A streaming report's endpoint slack table, one row per access.
+
+    Holds the backing analysis and its endpoint event ids in slack order;
+    ``table[i]`` builds that one :class:`TimingEvent`, a slice builds a list
+    of its rows.  The analysis planes are never written after the analysis
+    is handed out, so a table keeps describing the state it was built from.
+    Compares equal to any sequence with the same rows, e.g. the eager
+    report's list.
+    """
+
+    __slots__ = ("_analysis", "_ids")
+
+    def __init__(self, analysis: Any, ids: Any) -> None:
+        self._analysis = analysis
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        if isinstance(index, slice):
+            return [self._analysis.timing_event(int(e)) for e in self._ids[index]]
+        return self._analysis.timing_event(int(self._ids[operator.index(index)]))
+
+    def __iter__(self) -> Iterator[TimingEvent]:
+        return (self._analysis.timing_event(int(e)) for e in self._ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, abc.Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 #: (net, input transition, old slack, new slack) rows of a slack-change table.

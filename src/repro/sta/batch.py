@@ -414,9 +414,9 @@ class GraphEngine:
         The object engine hands the solver one request *per event* and lets
         the memo dedupe by re-hashing every fingerprint; here the level first
         collapses to unique ``(stage config, transition, quantized slew)``
-        keys — a numpy ``unique`` over a (n, 3) float matrix — so fingerprints
-        are computed (or fetched from the compiled graph's cache) only per
-        unique key.  That per-event sha256 hashing is exactly the warm-path
+        keys — one int64 ``lexsort`` in :func:`~.compiled.level_solve_keys` —
+        so fingerprints are computed (or fetched from the compiled graph's
+        cache) only per unique key.  That per-event sha256 hashing is exactly the warm-path
         bottleneck ``BENCH_incremental`` flags, which is where most of the
         compiled path's warm speedup comes from.
         """

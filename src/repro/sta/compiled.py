@@ -443,16 +443,6 @@ class SweepState:
                 self.in_slew, self.src, self.early_src, self.out_arr,
                 self.early_out, self.delay, self.prop_slew, self.sol_idx)
 
-    def clone(self) -> "SweepState":
-        """A deep per-plane copy (snapshot isolation for incremental updates).
-
-        A masked incremental sweep mutates its planes in place; cloning first
-        keeps every previously issued :class:`CompiledAnalysis` (and the
-        streaming reports / serve snapshots built on it) describing the state
-        it analyzed.  ~12 memcpys — microseconds at 100k nets.
-        """
-        return SweepState(*(plane.copy() for plane in self.planes()))
-
     @property
     def nbytes(self) -> int:
         return sum(plane.nbytes for plane in self.planes())
@@ -565,19 +555,40 @@ def level_solve_keys(cg: CompiledGraph, state: SweepState, events: np.ndarray,
 
     Quantizes the merged slews onto the solver grid (bit-identical to
     ``quantize_slew()``: ``round()`` and ``np.rint`` are both half-even),
-    records them in ``state.in_slew``, and returns ``(unique, inverse)`` from
-    a lexicographic row sort, so the unique order is a pure function of the
-    key *set*.
+    records them in ``state.in_slew``, and returns ``(unique, inverse)``:
+    ``unique`` is float64 ``[u, 3]`` rows ``(config, transition, slew)`` in
+    lexicographic order, ``inverse`` the int64 row of each event.  The order
+    is a pure function of the key *set*, which ``solutions`` and
+    ``state.sol_idx`` rely on.
+
+    Each key is packed into two int64 columns: the head
+    ``config * 2 + transition`` and the slew's IEEE-754 bit pattern.  The
+    slews must be positive and finite — primary inputs reject slew <= 0,
+    propagated slews are a far-end slew over a positive factor, and
+    quantization clamps to at least one quantum.  For such values the bit
+    pattern orders exactly like the value, and equal bits mean equal values,
+    so one two-key ``lexsort`` plus a run-start flag yields the same
+    ``unique`` and ``inverse`` as ``np.unique(keys, axis=0,
+    return_inverse=True)`` over the float rows, without sorting rows.
     """
     slews = state.merged_slew[events]
     if quantum is not None:
         slews = np.maximum(np.rint(slews / quantum), 1.0) * quantum
     state.in_slew[events] = slews
-    keys = np.empty((events.size, 3), dtype=np.float64)
-    keys[:, 0] = cg.config_id[events >> 1]
-    keys[:, 1] = events & 1
-    keys[:, 2] = slews
-    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    head = cg.config_id[events >> 1] * 2 + (events & 1)
+    bits = slews.view(np.int64)
+    order = np.lexsort((bits, head))
+    head_sorted, bits_sorted = head[order], bits[order]
+    starts = np.ones(events.size, dtype=bool)
+    starts[1:] = ((head_sorted[1:] != head_sorted[:-1])
+                  | (bits_sorted[1:] != bits_sorted[:-1]))
+    inverse = np.empty(events.size, dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    firsts = order[starts]
+    unique = np.empty((firsts.size, 3), dtype=np.float64)
+    unique[:, 0] = head[firsts] >> 1
+    unique[:, 1] = head[firsts] & 1
+    unique[:, 2] = slews[firsts]
     return unique, inverse
 
 
@@ -841,11 +852,12 @@ class CompiledAnalysis:
         Event-id order equals the object engine's event insertion order, so
         ``argmax`` (first maximum) elects the same event ``max()`` does.
         """
-        sink_events = np.repeat(self.graph.is_sink, 2) & self.state.exists
-        if not sink_events.any():
+        events = np.repeat(np.flatnonzero(self.graph.is_sink) * 2, 2)
+        events[1::2] += 1
+        events = events[self.state.exists[events]]
+        if not events.size:
             raise ModelingError("timed graph has no sink events")
-        arrivals = np.where(sink_events, self.state.out_arr, -np.inf)
-        return int(np.argmax(arrivals))
+        return int(events[np.argmax(self.state.out_arr[events])])
 
     def critical_path_ids(self) -> List[int]:
         """Event ids from a primary-input seed to the worst sink event."""

@@ -18,9 +18,10 @@ re-runs only where the edit can matter:
   that cone is provably unchanged), reusing the per-level kernel
   :func:`~.compiled.required_level` of the full backward pass.
 
-Both reuse the prior :class:`~.compiled.SweepState` planes — cloned first, so
+Both reuse the prior :class:`~.compiled.SweepState` planes — copied first, so
 analyses already handed out (and the serve daemon's snapshot reads built on
-them) keep describing the state they analyzed — and the PR-9
+them) keep describing the state they analyzed; the copy recycles a superseded
+plane set nothing references any more, so it costs O(cone) — and the
 ``level_solve_keys`` / ``scatter_level_solutions`` solve seam.  Because the
 solver memo answers identical fingerprints with identical solutions and the
 merge election is per-target independent, an incremental update is
@@ -36,9 +37,10 @@ update whose ``incremental`` stats say how much of the graph was touched.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -104,6 +106,49 @@ def _gather_targets(indptr: np.ndarray, indices: np.ndarray,
     return indices[positions]
 
 
+def _exclusive(planes: Tuple[np.ndarray, ...]) -> bool:
+    """True when nothing but the ``planes`` tuple references its arrays.
+
+    Compares CPython reference counts with those of a probe array that only a
+    tuple holds, read the same way (so the temporaries an interpreter version
+    counts cancel out).  A live :class:`~.compiled.SweepState` or analysis
+    holding a plane, or any view of one (its ``base``), adds to the count.
+    """
+    probe = (np.empty(0),)
+    floor = max(sys.getrefcount(plane) for plane in probe)
+    return all(sys.getrefcount(plane) <= floor for plane in planes)
+
+
+class _PlanePool:
+    """Copies a plane set per update by recycling the superseded one.
+
+    Snapshot isolation gives every update fresh planes, because analyses
+    already handed out keep theirs.  At 100k nets a fresh copy of every plane
+    (~20 MB, with its page faults) costs more than the masked sweep itself.
+    So the pool keeps the set the last update superseded, with the event ids
+    that update rewrote.  Once no analysis, report or view references that
+    set any more, :meth:`copy` brings it up to date by copying only those
+    slots, and the next update rewrites it in place.
+    """
+
+    def __init__(self) -> None:
+        self._spare: Optional[Tuple[Tuple[np.ndarray, ...], np.ndarray]] = None
+
+    def copy(self, current: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
+        """Private planes equal to ``current``: the spare set when it is free."""
+        spare, self._spare = self._spare, None
+        if spare is not None and _exclusive(spare[0]):
+            planes, stale = spare
+            for plane, source in zip(planes, current):
+                plane[stale] = source[stale]
+            return planes
+        return tuple(plane.copy() for plane in current)
+
+    def retire(self, planes: Tuple[np.ndarray, ...], rewritten: np.ndarray) -> None:
+        """Keep ``planes``, superseded by a copy that differs at ``rewritten``."""
+        self._spare = (planes, rewritten)
+
+
 def incremental_sweep(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
                       dirty_ids: np.ndarray, solve_level) -> SweepDelta:
     """Re-run the forward sweep over the dirty fanout cone, in place.
@@ -130,8 +175,8 @@ def incremental_sweep(cg: CompiledGraph, graph: TimingGraph, state: SweepState,
             continue
         visited.append(lvl)
         candidates = _interleave(lvl)
-        prior_exists = state.exists[candidates].copy()
-        prior_planes = tuple(plane[candidates].copy() for plane in (
+        prior_exists = state.exists[candidates]  # fancy indexing: copies
+        prior_planes = tuple(plane[candidates] for plane in (
             state.out_arr, state.early_out, state.prop_slew, state.delay))
         # Reset the visited slots to their never-touched values: merge and
         # scatter only install winners, so a stale event would otherwise
@@ -227,9 +272,11 @@ class CompiledIncrementalEngine:
 
     Solutions accumulate in one append-only list shared by every analysis
     this engine produced, so earlier analyses' ``sol_idx`` planes stay valid
-    forever; states and required planes are cloned per update (snapshot
-    isolation for streaming reports and serve reads).  Like the object
-    engine, this engine is the single consumer of its graph's dirty set.
+    forever; states and required planes are copied per update (snapshot
+    isolation for streaming reports and serve reads), through a
+    :class:`_PlanePool` that recycles the set the previous update superseded.
+    Like the object engine, this engine is the single consumer of its graph's
+    dirty set.
     """
 
     def __init__(self, engine: "GraphEngine", graph: TimingGraph, *,
@@ -246,6 +293,11 @@ class CompiledIncrementalEngine:
         self._hold_required: Optional[np.ndarray] = None
         self._solutions: List[StageSolution] = []
         self._timed = False
+        self._state_pool = _PlanePool()
+        self._required_pool = _PlanePool()
+        #: ((setup?, hold?), endpoint mask, setup seeds, hold seeds) of the
+        #: live constraints; dropped whenever the constraints change.
+        self._seeds: Optional[tuple] = None
         #: Nets the last update re-timed or re-required (None = potentially
         #: everything); report construction reuses events everywhere else.
         self.last_changed_nets: Optional[FrozenSet[str]] = None
@@ -258,7 +310,32 @@ class CompiledIncrementalEngine:
         self._hold_required = None
         self._solutions = []
         self._timed = False
+        self._reset_reuse()
         self.last_changed_nets = None
+
+    def _reset_reuse(self) -> None:
+        """Forget the recycled planes and cached seeds (a new plane lineage)."""
+        self._state_pool = _PlanePool()
+        self._required_pool = _PlanePool()
+        self._seeds = None
+
+    def _constraint_seeds(self, cg: CompiledGraph, do_setup: bool, do_hold: bool
+                          ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """(setup, hold) seeds of the live constraints, cached between edits.
+
+        Seeds depend on the graph's constraints, whose edits set
+        ``constraints_dirty`` (which drops the cache), and on the endpoint
+        mask, which a patch can change.
+        """
+        cached = self._seeds
+        if (cached is None or cached[0] != (do_setup, do_hold)
+                or not np.array_equal(cached[1], cg.is_endpoint)):
+            graph = self.graph
+            cached = ((do_setup, do_hold), cg.is_endpoint,
+                      constraint_seeds(cg, graph, "setup") if do_setup else None,
+                      constraint_seeds(cg, graph, "hold") if do_hold else None)
+            self._seeds = cached
+        return cached[2], cached[3]
 
     def _full_update(self, cg: CompiledGraph, *, patched_nets: int,
                      dirty_nets: int) -> CompiledAnalysis:
@@ -270,6 +347,7 @@ class CompiledIncrementalEngine:
         self._hold_required = analysis.hold_required
         self._solutions = analysis.solutions
         self._timed = True
+        self._reset_reuse()
         self.last_changed_nets = None
         n = len(self.graph)
         analysis.incremental = IncrementalStats(
@@ -310,8 +388,11 @@ class CompiledIncrementalEngine:
                                changed=np.empty(0, dtype=np.int64),
                                retimed_events=0, converged_early=0)
             changed_names: Set[str] = set()
+            if constraints_dirty:
+                self._seeds = None
             if dirty:
-                state = state.clone()
+                previous = state
+                state = SweepState(*self._state_pool.copy(previous.planes()))
                 base_options = self.engine.options
                 options_pair = {
                     t: replace(base_options,
@@ -330,6 +411,8 @@ class CompiledIncrementalEngine:
                                         dtype=np.int64, count=len(dirty))
                 delta = incremental_sweep(cg, graph, state, dirty_ids,
                                           solve_level)
+                self._state_pool.retire(previous.planes(),
+                                        _interleave(delta.visited))
                 changed_names.update(cg.order[i]
                                      for i in delta.visited.tolist())
 
@@ -341,22 +424,22 @@ class CompiledIncrementalEngine:
                 # Constraint edits can move required times anywhere: re-seed
                 # and re-run the full backward pass (pure arithmetic).
                 required, hold_required = backward_required(
-                    cg, state,
-                    constraint_seeds(cg, graph, "setup") if do_setup else None,
-                    constraint_seeds(cg, graph, "hold") if do_hold else None)
+                    cg, state, *self._constraint_seeds(cg, do_setup, do_hold))
+                self._required_pool = _PlanePool()
                 required_nets = len(graph)
             elif delta.changed.size and (do_setup or do_hold):
-                required = required.copy()
-                hold_required = hold_required.copy()
+                previous_required = (required, hold_required)
+                required, hold_required = self._required_pool.copy(
+                    previous_required)
                 region = incremental_required(
                     cg, state, delta.changed,
-                    constraint_seeds(cg, graph, "setup") if do_setup else None,
-                    constraint_seeds(cg, graph, "hold") if do_hold else None,
+                    *self._constraint_seeds(cg, do_setup, do_hold),
                     required, hold_required)
                 required_nets = int(region.size)
                 # Nets whose required times moved rebuild their report
                 # events too (NaN == NaN counts as unchanged).
                 span = _interleave(region)
+                self._required_pool.retire(previous_required, span)
                 moved = np.zeros(span.size, dtype=bool)
                 for old, new in ((self._required, required),
                                  (self._hold_required, hold_required)):

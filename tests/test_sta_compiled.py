@@ -20,9 +20,14 @@ The contract under test, layer by layer:
   report by identity.
 """
 
+import json
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_sta_dual_mode import random_dag
 
 from repro.api import (
@@ -37,7 +42,9 @@ from repro.core import StageSolver
 from repro.errors import ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphEngine, TimingGraph
+from repro.serve.codec import slack_payload
+from repro.sta import GraphEngine, GraphNet, PrimaryInput, TimingGraph
+from repro.sta.compiled import SweepState, level_solve_keys
 from repro.units import mm, nH, pF, ps
 
 
@@ -310,3 +317,234 @@ class TestIncrementalReportReuse:
         warm_payload.pop("meta"), full_payload.pop("meta")
         assert warm_payload == full_payload
         assert first.meta.report_events_rebuilt is None
+
+
+def reference_solve_keys(cg, slews, events):
+    """The row-sort dedupe ``level_solve_keys`` replaced: ``np.unique`` rows."""
+    keys = np.empty((events.size, 3), dtype=np.float64)
+    keys[:, 0] = cg.config_id[events >> 1]
+    keys[:, 1] = events & 1
+    keys[:, 2] = slews
+    return np.unique(keys, axis=0, return_inverse=True)
+
+
+def assert_keys_match_unique(config_id, merged_slew, events, quantum):
+    """``level_solve_keys`` equals the ``np.unique`` oracle, values and dtypes."""
+    cg = SimpleNamespace(config_id=np.asarray(config_id, dtype=np.int64))
+    state = SweepState.empty(2 * cg.config_id.size)
+    state.merged_slew[:] = merged_slew
+    events = np.asarray(events, dtype=np.int64)
+    solver = StageSolver(slew_quantum=quantum)
+    quantized = np.array([solver.quantize_slew(float(s))
+                          for s in state.merged_slew[events]])
+    unique, inverse = level_solve_keys(cg, state, events, quantum)
+    assert np.array_equal(state.in_slew[events], quantized)
+    ref_unique, ref_inverse = reference_solve_keys(cg, quantized, events)
+    assert unique.dtype == ref_unique.dtype == np.float64
+    assert inverse.dtype == ref_inverse.dtype
+    assert unique.shape == ref_unique.shape
+    assert inverse.shape == ref_inverse.shape == (events.size,)
+    assert np.array_equal(unique, ref_unique)
+    assert np.array_equal(inverse, ref_inverse)
+    return unique
+
+
+@st.composite
+def solve_key_levels(draw):
+    """(config_id, merged_slew, events, quantum) of one random level.
+
+    Slews come from a small pool (heavy duplication) that mixes values
+    across 1e-13..1e-9 s with their 1-ULP neighbours.
+    """
+    n_nets = draw(st.integers(1, 24))
+    n_configs = draw(st.integers(1, 4))
+    config_id = draw(st.lists(st.integers(0, n_configs - 1),
+                              min_size=n_nets, max_size=n_nets))
+    bases = draw(st.lists(st.floats(1e-13, 1e-9), min_size=1, max_size=4))
+    pool = []
+    for base in bases:
+        pool += [base, float(np.nextafter(base, np.inf)),
+                 float(np.nextafter(base, 0.0))]
+    merged_slew = draw(st.lists(st.sampled_from(pool), min_size=2 * n_nets,
+                                max_size=2 * n_nets))
+    events = sorted(draw(st.sets(st.integers(0, 2 * n_nets - 1), min_size=1)))
+    quantum = draw(st.sampled_from([None, ps(1), ps(0.1), 1e-13]))
+    return config_id, merged_slew, events, quantum
+
+
+class TestSolveKeyDedupe:
+    """``level_solve_keys`` vs ``np.unique(keys, axis=0)`` (the old dedupe)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(solve_key_levels())
+    def test_matches_row_unique(self, level):
+        assert_keys_match_unique(*level)
+
+    @pytest.mark.parametrize("quantum", [None, ps(1)])
+    def test_one_event_level(self, quantum):
+        unique = assert_keys_match_unique([3, 1], [ps(80)] * 4, [3], quantum)
+        assert unique.shape == (1, 3)
+
+    @pytest.mark.parametrize("quantum", [None, ps(1)])
+    def test_all_identical_level(self, quantum):
+        n = 50
+        unique = assert_keys_match_unique([2] * n, [ps(120)] * (2 * n),
+                                          np.arange(0, 2 * n, 2), quantum)
+        assert unique.shape == (1, 3)
+
+    def test_one_ulp_apart_stay_distinct(self):
+        slew = ps(100)
+        above = float(np.nextafter(slew, np.inf))
+        below = float(np.nextafter(slew, 0.0))
+        unique = assert_keys_match_unique([0, 0, 0], [slew, above, below] * 2,
+                                          [0, 2, 4, 1, 3, 5], None)
+        assert unique.shape == (6, 3)
+        assert list(unique[:3, 2]) == [below, slew, above]
+
+    @pytest.mark.parametrize("quantum", [None, ps(1)])
+    def test_slews_across_decades(self, quantum):
+        slews = np.geomspace(1e-13, 1e-9, 40)
+        assert_keys_match_unique(np.arange(40) % 3, np.repeat(slews, 2),
+                                 np.arange(80), quantum)
+
+    def test_heavy_duplication(self):
+        rng = np.random.default_rng(7)
+        n = 4000
+        config_id = rng.integers(0, 3, n)
+        pool = np.array([ps(60), ps(100), ps(100.4), ps(140)])
+        slews = pool[rng.integers(0, pool.size, 2 * n)]
+        for quantum in (None, ps(1)):
+            unique = assert_keys_match_unique(config_id, slews,
+                                              np.arange(2 * n), quantum)
+            assert unique.shape[0] <= 3 * 2 * pool.size
+
+
+def tie_graph(lines, *, y_input=None):
+    """Endpoints ``b`` (level 1) and ``y`` (level 0): level order is not name order.
+
+    ``b`` hangs off root ``r_b``; the root endpoint ``y`` has ``b``'s driver,
+    line and load, so with ``y_input`` set to the stimulus ``b`` sees (the
+    root's far-end arrival, propagated slew and edge) both time — and slack —
+    exactly alike.  ``w`` (fall input) adds a distinct slack.
+    """
+    short = lines[0]
+    nets = [GraphNet("r_b", 75.0, short, fanout=("b",)),
+            GraphNet("b", 50.0, short, receiver_size=25.0),
+            GraphNet("y", 50.0, short, receiver_size=25.0),
+            GraphNet("r_w", 100.0, lines[1], fanout=("w",)),
+            GraphNet("w", 50.0, short, receiver_size=25.0)]
+    inputs = {"r_b": PrimaryInput(slew=ps(100)),
+              "y": y_input or PrimaryInput(slew=ps(100), transition="fall"),
+              "r_w": PrimaryInput(slew=ps(60), transition="fall")}
+    return TimingGraph(nets, inputs)
+
+
+def tied_graph(session, lines):
+    """:func:`tie_graph` with ``y`` stimulated exactly like ``b``."""
+    probe = session.time(tie_graph(lines), compiled=False)
+    (root,) = probe.events["r_b"].values()
+    return tie_graph(lines, y_input=PrimaryInput(
+        slew=root.propagated_slew, transition=root.output_transition,
+        arrival=root.output_arrival))
+
+
+class TestLazySlackTable:
+    """The streaming report's lazy endpoint table is the eager list."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, solver, lines):
+        session = shared_session(solver, compile_threshold=1)
+        graph = tied_graph(session, lines)
+        graph.set_clock_period(ps(1500), hold_margin=0.0)
+        streaming = session.time(graph, name="ties")
+        plain = session.time(graph, name="ties", compiled=False)
+        return streaming, plain
+
+    def test_equal_slacks_break_ties_by_name(self, reports):
+        streaming, plain = reports
+        assert isinstance(streaming, StreamingTimingReport)
+        analysis = streaming.analysis
+        for mode in ("setup", "hold"):
+            level_order = [analysis.key_of(int(e))[0]
+                           for e in analysis.endpoint_event_ids(mode)]
+            assert level_order.index("y") < level_order.index("b")
+            table = streaming.endpoint_slacks(mode=mode)
+            expected = plain.endpoint_slacks(mode=mode)
+            assert table == expected
+            assert expected == table
+            assert list(table) == expected
+            tied = {e.net: e.slack_for(mode) for e in expected}
+            assert tied["b"] == tied["y"]  # an exact tie
+            names = [e.net for e in table]
+            assert names.index("b") == names.index("y") - 1
+
+    def test_sequence_protocol(self, reports):
+        streaming, plain = reports
+        table = streaming.endpoint_slacks()
+        expected = plain.endpoint_slacks()
+        n = len(expected)
+        assert len(table) == n == 3 and bool(table)
+        assert table[-1] == expected[-1] and table[-n] == expected[0]
+        for cut in (slice(None, None, 2), slice(None, None, -1),
+                    slice(1, 4, 2), slice(3, 100), slice(-100, 2),
+                    slice(100, 200), slice(2, 2)):
+            assert table[cut] == expected[cut]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[index]
+        assert table.index(expected[2]) == 2
+        assert expected[1] in table
+        assert list(reversed(table)) == expected[::-1]
+        assert table != expected[:-1]
+        assert table != tuple(expected[::-1])
+        assert table == tuple(expected)
+
+    def test_unconstrained_table_is_empty(self, solver, lines):
+        session = shared_session(solver, compile_threshold=1)
+        report = session.time(tie_graph(lines), name="free")
+        assert isinstance(report, StreamingTimingReport)
+        for mode in ("setup", "hold"):
+            table = report.endpoint_slacks(mode=mode)
+            assert table == [] and not table and len(table) == 0
+            with pytest.raises(ModelingError):
+                report.worst_slack_event(mode=mode)
+        assert (report.format_slack_table()
+                == TimingReport.format_slack_table(
+                    session.time(tie_graph(lines), compiled=False)))
+
+    def test_report_helpers_match(self, reports):
+        streaming, plain = reports
+        for mode in ("setup", "hold"):
+            assert (streaming.worst_slack_event(mode=mode)
+                    == plain.worst_slack_event(mode=mode))
+            for limit in (1, 3, 20):
+                assert (streaming.format_slack_table(limit=limit, mode=mode)
+                        == plain.format_slack_table(limit=limit, mode=mode))
+
+    def test_serve_slack_payload_matches(self, reports):
+        streaming, plain = reports
+        for mode in ("setup", "hold"):
+            for limit in (1, 2, 50):
+                payloads = [json.dumps(slack_payload("ties", 3, report,
+                                                     mode=mode, limit=limit),
+                                       sort_keys=True)
+                            for report in (streaming, plain)]
+                assert payloads[0] == payloads[1]
+
+    def test_table_survives_later_updates(self, solver, lines):
+        """A table taken before an edit keeps returning the pre-edit rows."""
+        session = shared_session(solver, compile_threshold=1)
+        graph = tied_graph(session, lines)
+        graph.set_clock_period(ps(1500))
+        before = session.update(graph)
+        table = before.endpoint_slacks()
+        expected = list(table)
+        graph.resize_driver("r_b", 125.0)
+        after = session.update(graph)
+        assert isinstance(after, StreamingTimingReport)
+        assert after.meta.compile_seconds == 0.0  # patched, not recompiled
+        assert after.endpoint_slacks() != expected  # the edit moved slacks
+        assert table[0] == expected[0]
+        for k in (1, 3, len(expected)):
+            assert table[:k] == expected[:k]
+        assert table == expected

@@ -32,7 +32,7 @@ from repro.errors import ModelingError
 from repro.experiments import soc_graph
 from repro.interconnect import RLCLine
 from repro.sta import GraphEngine, IncrementalEngine
-from repro.sta.incremental_compiled import CompiledIncrementalEngine
+from repro.sta.incremental_compiled import CompiledIncrementalEngine, _PlanePool
 from repro.units import fF, mm, nH, pF, ps
 
 
@@ -262,6 +262,27 @@ class TestCompiledIncrementalProperty:
         full = engine.analyze_compiled(graph, compiled=cg, mode="both")
         assert_analyses_identical(analysis, full)
 
+    def test_endpoint_edits_reseed_required_times(self, library, solver, lines):
+        # A receiver on a net with fanout makes it an endpoint: the cached
+        # constraint seeds must follow the patched endpoint mask both ways.
+        graph = random_dag(random.Random(13), lines, n_nets=20)
+        graph.set_clock_period(ps(700), hold_margin=ps(50))
+        engine = GraphEngine(library=library, solver=solver)
+        incremental = CompiledIncrementalEngine(engine, graph)
+        cg = refresh_snapshot(engine, graph, None)
+        incremental.update(cg)
+        net = next(name for name in sorted(graph.nets)
+                   if graph.nets[name].fanout
+                   and graph.nets[name].receiver_size is None
+                   and graph.nets[name].driver_size >= 100.0)
+        for receiver in (25.0, None):
+            graph.set_receiver(net, receiver)
+            cg = refresh_snapshot(engine, graph, cg)
+            analysis = incremental.update(cg)
+            assert bool(cg.is_endpoint[cg.index[net]]) == (receiver is not None)
+            full = engine.analyze_compiled(graph, compiled=cg, mode="both")
+            assert_analyses_identical(analysis, full)
+
 
 class TestStreamingReportReuse:
     def test_warm_compiled_update_rebuilds_only_the_cone(self, solver, lines):
@@ -306,3 +327,71 @@ class TestStreamingReportReuse:
         warm_payload.pop("meta"), full_payload.pop("meta")
         assert warm_payload == full_payload
 
+
+
+class TestPlaneRecycling:
+    """Superseded planes are reused only when nothing else can see them."""
+
+    @staticmethod
+    def planes(fill):
+        return tuple(np.full(6, fill) for _ in range(3))
+
+    def test_pool_recycles_a_free_set(self):
+        pool = _PlanePool()
+        old, current = self.planes(1.0), self.planes(1.0)
+        for plane in current:
+            plane[[2, 4]] = 7.0
+        pool.retire(old, np.array([2, 4]))
+        copied = pool.copy(current)
+        assert all(a is b for a, b in zip(copied, old))
+        for plane, source in zip(copied, current):
+            assert np.array_equal(plane, source)
+            assert plane is not source
+
+    @pytest.mark.parametrize("hold", ["array", "view"])
+    def test_pool_never_reuses_a_referenced_set(self, hold):
+        pool = _PlanePool()
+        old, current = self.planes(1.0), self.planes(3.0)
+        held = old[1] if hold == "array" else old[1][1:4]
+        pool.retire(old, np.arange(6))
+        copied = pool.copy(current)
+        assert all(a is not b for a, b in zip(copied, old))
+        assert all(np.array_equal(a, b) for a, b in zip(copied, current))
+        assert np.array_equal(held, np.full(held.size, 1.0))
+
+    def test_updates_recycle_yet_held_reports_keep_their_planes(
+            self, solver, lines):
+        graph = random_dag(random.Random(5), lines, n_nets=24)
+        graph.set_clock_period(ps(700), hold_margin=ps(50))
+        session = shared_session(solver, compile_threshold=1)
+        nets = sorted(graph.nets)
+        report = session.update(graph)
+        watched = [weakref.ref(report.analysis.state.out_arr)]
+        held = {}  # step -> (report, frozen planes, frozen required)
+        for step in range(1, 10):
+            graph.set_extra_load(nets[(7 * step) % len(nets)], fF(2 * step))
+            report = session.update(graph)
+            analysis = report.analysis
+            assert report.meta.cone_nets  # every step re-times a cone
+            full = session._engine.analyze_compiled(
+                graph, compiled=session._compiled_for(graph)[0], mode="both")
+            assert_analyses_identical(analysis, full)
+            del full
+            watched.append(weakref.ref(analysis.state.out_arr))
+            # A step's planes are the ones two steps back, unless a caller
+            # still holds that step's report.
+            if step >= 2:
+                reused = watched[step - 2]() is analysis.state.out_arr
+                assert reused == (step - 2 not in held)
+            if step % 3 == 0:
+                held[step] = (report,
+                              [getattr(analysis.state, name).copy()
+                               for name in PLANES],
+                              analysis.required.copy())
+            del analysis
+            gc.collect()
+        for old, frozen, required in held.values():
+            for name, plane in zip(PLANES, frozen):
+                assert np.array_equal(getattr(old.analysis.state, name), plane)
+            assert np.array_equal(old.analysis.required, required,
+                                  equal_nan=True)
