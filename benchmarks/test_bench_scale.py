@@ -16,8 +16,11 @@ acceptance gate, in three phases (one shared session, one memoized solver):
    reuses the same 32 stage configurations at every size), a compiled warm
    re-analysis must beat the object engine by >= ``SPEEDUP_FLOOR_10K``.
 3. **100k cold, fresh subprocess** — build + compile + analyze 100k nets in a
-   child interpreter (``ru_maxrss`` is a process-lifetime high-water mark, so
-   the memory gate needs a process that has never held a bigger allocation).
+   child interpreter.  Peak RSS (``VmHWM``, via
+   :func:`repro.perf.peak_rss_bytes`) is a process-lifetime high-water mark
+   that starts over at exec, so the memory gate needs a process that has
+   never held a bigger allocation; the pytest runner's own peak does not
+   leak into the child.
    Gates: warm throughput >= ``NETS_PER_SECOND_FLOOR`` nets/s, peak-RSS
    growth over the post-import baseline <= ``BYTES_PER_NET_CEILING`` per net,
    and a warm top-20 endpoint slack table (``endpoint_slacks()[:20]``,
@@ -82,7 +85,7 @@ _EVENT_FIELDS = (
 )
 
 #: Runs in a fresh interpreter: the 100k build/compile/analyze lap with a
-#: clean ru_maxrss high-water mark.  Prints one JSON object on stdout.
+#: clean VmHWM high-water mark.  Prints one JSON object on stdout.
 _SUBPROCESS_SCRIPT = """
 import json, time
 from repro.api import TimingSession

@@ -1,13 +1,13 @@
-"""The unified timing-result model: one schema for paths, graphs and stages.
+"""The unified timing-result model: one schema and one query surface.
 
-Before :class:`TimingReport`, every layer of the solver stack answered with its
-own shape — :class:`~repro.sta.engine.PathTimingReport` (stage list),
-:class:`~repro.sta.graph.GraphTimingReport` (event dict holding live
-:class:`~repro.core.stage_solver.StageSolution` objects) and bare
-:class:`~repro.sta.engine.StageTiming` — none of which serialized.  A
-:class:`TimingReport` merges them: per-net rise/fall :class:`TimingEvent` records
-(scalar, so the whole report pickles and JSONs), the critical path as event
-references, topological levels, and run metadata (:class:`RunInfo`).
+The engine hands back a :class:`~repro.sta.graph.GraphTimingReport`, a plain
+record of live events holding :class:`~repro.core.stage_solver.StageSolution`
+objects, which does not serialize.  :meth:`TimingReport.from_graph_report`
+flattens it into per-net rise/fall :class:`TimingEvent` records (scalar, so the
+whole report pickles and JSONs), traces the critical path into event
+references, and adds topological levels and run metadata (:class:`RunInfo`).
+Every query — arrivals, critical and slack paths, slack, WNS/WHS, formatting —
+is answered here.
 
 Serialization is lossless and stable: ``from_dict(to_dict(r)) == r`` exactly
 (floats survive because JSON encodes them via ``repr``, which round-trips), and
@@ -380,11 +380,23 @@ class TimingReport:
                 }
                 for name, per_net in sorted(report.events.items())
             }
-        critical = (
-            [(event.net.name, event.input_transition) for event in report.critical_path()]
-            if events
-            else []
-        )
+        critical: List[Tuple[str, str]] = []
+        if events:
+            # The worst sink comes from the events' snapshotted nets, not from
+            # ``report.graph``: the graph is mutable and may have been edited
+            # since, and a report must keep describing the state it analyzed.
+            sinks = [
+                event
+                for per_net in report.events.values()
+                for event in per_net.values()
+                if not event.net.fanout
+            ]
+            cursor: Optional[NetEventTiming] = max(sinks, key=lambda e: e.output_arrival)
+            while cursor is not None:
+                critical.append((cursor.net.name, cursor.input_transition))
+                source = cursor.source
+                cursor = report.events[source[0]][source[1]] if source is not None else None
+            critical.reverse()
         stats = report.stats
         incremental = report.incremental
         meta = RunInfo(
@@ -607,6 +619,23 @@ class TimingReport:
                 "querying slack"
             )
         return table[0]
+
+    def slack_path(self, *, mode: str = "setup") -> List[TimingEvent]:
+        """Events from a primary input to the worst-``mode``-slack endpoint.
+
+        Setup paths follow the late-plane ``source`` links, hold paths the
+        early-plane ``early_source`` links: the path whose delays produced the
+        checked arrival.  The walk touches only the nets on the path, so
+        streaming reports share it.
+        """
+        cursor: Optional[TimingEvent] = self.worst_slack_event(mode=mode)
+        chain: List[TimingEvent] = []
+        while cursor is not None:
+            chain.append(cursor)
+            source = cursor.early_source if mode == "hold" else cursor.source
+            cursor = self.events[source[0]][source[1]] if source is not None else None
+        chain.reverse()
+        return chain
 
     def format_slack_table(self, *, limit: int = 20, mode: str = "setup") -> str:
         """Per-endpoint ``mode`` slack table (worst first), or a hint when unconstrained."""

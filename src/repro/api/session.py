@@ -14,9 +14,9 @@ do:
 
 Sessions are context managers; leaving the ``with`` block closes the
 characterization worker pool, if the session created one.  Timing analysis
-always runs in this process.  Results are bit-identical to the legacy entry
-points (:class:`~repro.sta.PathTimer` / ``GraphTimer``) because both run the
-exact same :class:`~repro.sta.batch.GraphEngine` and memoized stage solver.
+always runs in this process.  Paths and graphs go through one
+:class:`~repro.sta.batch.GraphEngine` (a path as its chain graph) and one
+memoized stage solver, and both come back as a :class:`~.report.TimingReport`.
 
 ::
 

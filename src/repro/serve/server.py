@@ -119,7 +119,17 @@ class _Handler(BaseHTTPRequestHandler):
         if length is None:
             raise ValidationError("request body required (with Content-Length)")
         try:
-            raw = self.rfile.read(int(length))
+            size = int(length)
+        except ValueError:
+            size = -1
+        if size < 0:
+            # read(-1) would block until the client closes, and without a
+            # valid length the body cannot be framed: answer, then hang up.
+            self.close_connection = True
+            raise ValidationError(
+                f"Content-Length must be a non-negative integer, got {length!r}")
+        try:
+            raw = self.rfile.read(size)
             return json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise ValidationError(f"request body is not valid JSON: {exc}") from None

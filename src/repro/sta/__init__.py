@@ -5,8 +5,9 @@ Layering, bottom up:
 * :mod:`repro.core.stage_solver` — the memoized per-stage solve (the paper's full
   Ceff/two-ramp flow behind an LRU memo plus an optional persistent scalar store).
 * :mod:`repro.sta.graph` — the timing-graph data model: :class:`GraphNet` DAGs
-  with fanout, Kahn levelization, per-node rise/fall worst-arrival merging and
-  critical-path traceback (:class:`GraphTimingReport`).
+  with fanout, Kahn levelization and per-node rise/fall worst-arrival merging;
+  :func:`chain_graph` turns a :class:`TimingPath` into its chain graph, and
+  :class:`GraphTimingReport` is the engine's plain result record.
 * :mod:`repro.sta.batch` — :class:`~.batch.GraphEngine`, the batched executor:
   each level's unique stage solves are answered from the memo or solved as one
   in-process array batch.  One traversal carries *both analysis planes* — late
@@ -31,16 +32,14 @@ composition), and the sweep around them is cheap arithmetic.
 The recommended front door to all of this is :class:`repro.api.TimingSession`,
 which owns the cell library and the caches, accepts
 :class:`TimingPath` and :class:`TimingGraph` designs alike, and returns the
-unified, JSON-serializable :class:`repro.api.TimingReport`.  The classic entry
-points — :class:`PathTimer` for linear paths and :class:`GraphTimer` for DAGs —
-remain as thin deprecation shims over the same engine, so their results are
-bit-identical to the session's.
+unified, JSON-serializable :class:`repro.api.TimingReport` — the one report
+every caller queries (critical path, slack, WNS/WHS, slack paths, formatting).
+Paths are timed as chain graphs by the same engine.
 """
 
-from .batch import GraphEngine, GraphTimer, IncrementalEngine
+from .batch import GraphEngine, IncrementalEngine
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
                        SweepState, compile_graph)
-from .engine import PathTimer, PathTimingReport, StageTiming
 from .graph import (ANALYSIS_MODES, CHECK_MODES, GraphNet, GraphTimingReport,
                     IncrementalStats, NetEventTiming, PrimaryInput,
                     TimingGraph, chain_graph, check_mode, flip_transition)
@@ -50,9 +49,6 @@ from .validation import PathReference, simulate_path_reference
 __all__ = [
     "TimingStage",
     "TimingPath",
-    "PathTimer",
-    "PathTimingReport",
-    "StageTiming",
     "GraphNet",
     "PrimaryInput",
     "TimingGraph",
@@ -66,7 +62,6 @@ __all__ = [
     "IncrementalStats",
     "GraphEngine",
     "IncrementalEngine",
-    "GraphTimer",
     "PathReference",
     "simulate_path_reference",
     "TRANSITIONS",

@@ -45,9 +45,6 @@ the edit instead of the size of the graph.  (Above
 :class:`repro.sta.incremental_compiled.CompiledIncrementalEngine`, which runs
 masked dirty-cone sweeps over the compiled struct-of-arrays planes instead of
 per-object propagation.)
-
-:class:`GraphTimer` is the engine's deprecated public alias, kept as a thin shim
-for callers that predate the :class:`repro.api.TimingSession` front door.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ from ..core.stage_solver import (StageRequest, StageSolution, StageSolver,
                                  _options_fingerprint)
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
-from ._deprecation import warn_deprecated_once
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
                        SweepState, backward_required, compile_graph,
                        constraint_seeds, level_solve_keys, merge_level,
@@ -74,7 +70,7 @@ from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
 from .graph import (GraphNet, GraphTimingReport, IncrementalStats,
                     NetEventTiming, TimingGraph, check_mode, flip_transition)
 
-__all__ = ["GraphEngine", "IncrementalEngine", "GraphTimer"]
+__all__ = ["GraphEngine", "IncrementalEngine"]
 
 #: (arrival, slew, source) triple: one event plane of a pending input state.
 _PlaneState = Tuple[float, float, Optional[Tuple[str, str]]]
@@ -108,9 +104,9 @@ class _WorkItem:
 class GraphEngine:
     """Times whole graphs level by level with the memoized stage solver.
 
-    Shares its constructor vocabulary with :class:`~.engine.PathTimer` (library,
-    technology, modeling options, slew thresholds) plus an optional shared
-    :class:`StageSolver` so several timers can pool one memo.
+    Takes the library, technology, modeling options and slew thresholds,
+    plus an optional shared :class:`StageSolver` so several engines can pool
+    one memo.
     """
 
     def __init__(self, *, library: Optional[CellLibrary] = None,
@@ -175,8 +171,8 @@ class GraphEngine:
                              options=item.options, fingerprint=item.fingerprint)
                 for item in items]
 
-    def _solve_level(self, items: List[_WorkItem], *, need_waveforms: bool,
-                            memoize: bool) -> Dict[str, StageSolution]:
+    def _solve_level(self, items: List[_WorkItem], *,
+                     memoize: bool) -> Dict[str, StageSolution]:
         """Solve one level in-process: one array batch, or the naive scalar loop.
 
         The memoized path hands the whole level to
@@ -187,24 +183,21 @@ class GraphEngine:
         compare the batched path against, so it must not share its code.
         """
         if memoize:
-            solved = self.solver.solve_batch(self._batch_requests(items),
-                                             need_waveforms=need_waveforms)
+            solved = self.solver.solve_batch(self._batch_requests(items))
             return {item.fingerprint: solution
                     for item, solution in zip(items, solved)}
         solutions: Dict[str, StageSolution] = {}
         for item in items:
             solutions[item.fingerprint] = self.solver.solve(
                 item.cell, item.input_slew, item.net.line, item.load,
-                options=item.options, need_waveforms=need_waveforms,
-                memoize=False)
+                options=item.options, memoize=False)
         return solutions
 
     # --- analysis ----------------------------------------------------------------------
     def _time_levels(self, graph: TimingGraph, levels: List[List[str]],
                      pending: Dict[str, Dict[str, _PendingState]],
                      events: Dict[str, Dict[str, NetEventTiming]], *,
-                     need_waveforms: bool, memoize: bool,
-                     options: Optional[ModelingOptions] = None) -> None:
+                     memoize: bool, options: Optional[ModelingOptions] = None) -> None:
         """Forward pass over ``levels``: solve, record into ``events``, propagate.
 
         The shared core of full analysis (all levels, pending seeded from the
@@ -238,8 +231,7 @@ class GraphEngine:
                         early_source=early_source))
             if not items:
                 continue
-            solutions = self._solve_level(
-                items, need_waveforms=need_waveforms, memoize=memoize)
+            solutions = self._solve_level(items, memoize=memoize)
 
             for item in items:
                 solution = solutions[item.fingerprint]
@@ -341,14 +333,12 @@ class GraphEngine:
                             changed.add((name, transition))
         return visited
 
-    def analyze(self, graph: TimingGraph, *,
-                need_waveforms: bool = False, memoize: bool = True,
+    def analyze(self, graph: TimingGraph, *, memoize: bool = True,
                 options: Optional[ModelingOptions] = None,
                 mode: str = "both") -> GraphTimingReport:
         """Time every (net, transition) event of ``graph``.
 
-        ``need_waveforms`` keeps full models/far-end responses on every
-        solution; ``memoize=False`` bypasses the solver's caches entirely, which is the
+        ``memoize=False`` bypasses the solver's caches entirely, which is the
         naive per-stage baseline the benchmarks compare against; ``options``
         overrides the engine's modeling options for this analysis only (the
         corner axis — every corner shares the engine's memoized solver, and the
@@ -372,8 +362,7 @@ class GraphEngine:
 
         events: Dict[str, Dict[str, NetEventTiming]] = {}
         self._time_levels(graph, graph.levels, pending, events,
-                          need_waveforms=need_waveforms, memoize=memoize,
-                          options=options)
+                          memoize=memoize, options=options)
         self._apply_required(graph, events, setup=mode in ("setup", "both"),
                              hold=mode in ("hold", "both"))
 
@@ -565,7 +554,9 @@ class IncrementalEngine(GraphEngine):
             self.last_changed_events = None
             return replace(report, incremental=IncrementalStats(
                 dirty_nets=len(graph), retimed_nets=len(graph),
-                retimed_events=report.n_events, required_nets=len(graph),
+                retimed_events=sum(len(per_net)
+                                   for per_net in report.events.values()),
+                required_nets=len(graph),
                 hold_required_nets=len(graph) if graph.hold_constrained
                 else 0))
 
@@ -603,7 +594,7 @@ class IncrementalEngine(GraphEngine):
                           for level in graph.levels]
                 levels = [level for level in levels if level]
                 self._time_levels(graph, levels, pending, self._events,
-                                  need_waveforms=False, memoize=True)
+                                  memoize=True)
                 retimed_events = sum(len(self._events.get(name, {}))
                                      for name in cone)
 
@@ -647,24 +638,3 @@ class IncrementalEngine(GraphEngine):
         self._timed = False
         self.last_changed_nets = None
         self.last_changed_events = None
-
-
-class GraphTimer(GraphEngine):
-    """Deprecated alias of :class:`GraphEngine`.
-
-    Direct graph-timer construction predates the :class:`repro.api.TimingSession`
-    front door, which owns the cell library and the stage-solution caches for
-    the whole solver stack.  The shim is bit-identical to the
-    session path — both run the same :class:`GraphEngine` — and exists so old
-    callers keep working while they migrate::
-
-        with TimingSession() as session:
-            report = session.time(graph)
-    """
-
-    def __init__(self, **kwargs) -> None:
-        warn_deprecated_once(
-            "GraphTimer",
-            "GraphTimer is deprecated; use repro.api.TimingSession "
-            "(session.time(graph)) or repro.sta.batch.GraphEngine instead")
-        super().__init__(**kwargs)

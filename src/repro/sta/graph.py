@@ -1,9 +1,9 @@
 """Timing-graph data structures: nets with fanout, levelization, arrival merging.
 
-The single-path engine (:mod:`repro.sta.engine`) walks one linear chain of stages.
-Real designs are DAGs: a driver's far end feeds several downstream gates, paths
-reconverge, and a node can see both rising and falling events (paths of different
-inverter parity).  :class:`TimingGraph` captures that shape:
+A :class:`~.stage.TimingPath` is one linear chain of stages.  Real designs are
+DAGs: a driver's far end feeds several downstream gates, paths reconverge, and
+a node can see both rising and falling events (paths of different inverter
+parity).  :class:`TimingGraph` captures that shape:
 
 * a :class:`GraphNet` is one driver + RLC net + its fanout (the nets whose drivers
   load this net's far end),
@@ -45,7 +45,13 @@ incremental, slack-aware analysis possible:
   consumes :attr:`TimingGraph.dirty_nets` to re-time only the dirty cone.
 
 The chain-shaped special case is produced by :func:`chain_graph`, which is how
-:meth:`PathTimer.analyze` adapts onto the graph subsystem.
+paths are timed: :meth:`repro.api.TimingSession.time` turns a
+:class:`~.stage.TimingPath` into its chain graph and runs it like any other.
+
+An analysis returns a :class:`GraphTimingReport`, the engine's plain result
+record (live events, levels, solver counters).  Queries — critical path,
+slack, WNS/WHS, formatting — live on :class:`repro.api.TimingReport`, which
+flattens the record into serializable events.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 from ..core.stage_solver import SolverStats, StageSolution
 from ..errors import ModelingError
 from ..interconnect.rlc_line import RLCLine
-from ..units import to_ps
 from .stage import TimingPath, TimingStage
 
 __all__ = ["GraphNet", "PrimaryInput", "TimingGraph", "chain_graph",
@@ -589,8 +594,8 @@ def chain_graph(path: TimingPath, *, input_transition: str = "rise"
     edges — :class:`TimingPath` validates each stage's receiver against the next
     stage's driver to within 1e-12X, and the gate load keys off the fanout driver
     size — and the last stage's receiver stays a terminal load, so per-stage gate
-    loads match :meth:`PathTimer._stage_load` bit-for-bit whenever the sizes are
-    exactly equal (the overwhelmingly common case).
+    loads equal the stage's own receiver + extra load bit-for-bit whenever the
+    sizes are exactly equal (the overwhelmingly common case).
     """
     stages: List[TimingStage] = path.stage_list
     names: List[str] = []
@@ -684,18 +689,6 @@ class NetEventTiming:
         """True when the net consumes data (terminal receiver or no fanout)."""
         return self.net.is_endpoint
 
-    def describe(self) -> str:
-        """Single-line summary in ps."""
-        slack = self.slack
-        suffix = "" if slack is None else f", slack {to_ps(slack):7.1f} ps"
-        hold = self.hold_slack
-        if hold is not None:
-            suffix += f", hold {to_ps(hold):7.1f} ps"
-        return (f"{self.net.name}[{self.input_transition}->{self.output_transition}]"
-                f": {self.solution.kind:11s} in {to_ps(self.input_arrival):7.1f} ps"
-                f" -> out {to_ps(self.output_arrival):7.1f} ps"
-                f" (slew {to_ps(self.solution.far_slew):6.1f} ps{suffix})")
-
 
 @dataclass(frozen=True)
 class IncrementalStats:
@@ -710,20 +703,14 @@ class IncrementalStats:
     cone_nets: int = 0  #: compiled dirty cone: nets the masked sweep visited
     cone_converged_early: int = 0  #: cone nets whose outputs converged bit-identical
 
-    def describe(self) -> str:
-        hold = (f" ({self.hold_required_nets} hold)"
-                if self.hold_required_nets else "")
-        compiled = (f", {self.patched_nets} patched / {self.cone_nets} cone"
-                    f" ({self.cone_converged_early} converged early)"
-                    if self.cone_nets or self.patched_nets else "")
-        return (f"incremental: {self.dirty_nets} dirty -> {self.retimed_nets} "
-                f"retimed nets ({self.retimed_events} events), "
-                f"{self.required_nets} required-time refreshes{hold}{compiled}")
-
 
 @dataclass(frozen=True)
 class GraphTimingReport:
-    """Every solved event of one graph analysis, plus solver statistics."""
+    """Every solved event of one graph analysis, plus solver statistics.
+
+    A plain record: :meth:`repro.api.TimingReport.from_graph_report` flattens
+    it, and every query (critical path, slack, formatting) is answered there.
+    """
 
     graph: TimingGraph
     events: Dict[str, Dict[str, NetEventTiming]]  #: net name -> input transition -> event
@@ -731,210 +718,3 @@ class GraphTimingReport:
     stats: SolverStats  #: solver counters accumulated over this analysis
     elapsed: float  #: wall-clock analysis time [s]
     incremental: Optional[IncrementalStats] = None  #: set on incremental updates
-
-    @property
-    def n_events(self) -> int:
-        """Number of solved (net, transition) events."""
-        return sum(len(per_net) for per_net in self.events.values())
-
-    def event(self, name: str, transition: Optional[str] = None) -> NetEventTiming:
-        """The event of net ``name`` (worst output arrival when ambiguous)."""
-        per_net = self.events.get(name)
-        if not per_net:
-            raise ModelingError(f"net {name!r} has no timed event")
-        if transition is not None:
-            if transition not in per_net:
-                raise ModelingError(
-                    f"net {name!r} has no {transition!r} input event")
-            return per_net[transition]
-        return max(per_net.values(), key=lambda e: e.output_arrival)
-
-    def arrival(self, name: str, transition: Optional[str] = None) -> float:
-        """Worst-case far-end arrival of net ``name`` [s]."""
-        return self.event(name, transition).output_arrival
-
-    def worst_event(self) -> NetEventTiming:
-        """The sink event with the largest far-end arrival.
-
-        Sinks are derived from the events' snapshotted nets, not from
-        ``self.graph`` — the graph is mutable and may have been edited after
-        this report was produced, and a report must keep describing the state
-        it analyzed.
-        """
-        candidates = [event for per_net in self.events.values()
-                      for event in per_net.values() if not event.net.fanout]
-        if not candidates:
-            raise ModelingError("graph analysis produced no sink events")
-        return max(candidates, key=lambda e: e.output_arrival)
-
-    def critical_path(self) -> List[NetEventTiming]:
-        """Events from a primary input to the worst sink, in arrival order."""
-        return self._trace(self.worst_event())
-
-    def _trace(self, endpoint: NetEventTiming) -> List[NetEventTiming]:
-        """Worst-arrival traceback from ``endpoint`` to a primary input."""
-        chain: List[NetEventTiming] = []
-        cursor: Optional[NetEventTiming] = endpoint
-        while cursor is not None:
-            chain.append(cursor)
-            source = cursor.source
-            cursor = self.events[source[0]][source[1]] if source is not None else None
-        return list(reversed(chain))
-
-    # --- slack ---------------------------------------------------------------------
-    def required(self, name: str, transition: Optional[str] = None, *,
-                 mode: str = "setup") -> Optional[float]:
-        """Required far-end arrival of net ``name`` [s] (worst event when ambiguous)."""
-        event = self.event(name, transition)
-        check_mode(mode)
-        return event.required if mode == "setup" else event.hold_required
-
-    def early_arrival(self, name: str,
-                      transition: Optional[str] = None) -> float:
-        """Best-case (early) far-end arrival of net ``name`` [s].
-
-        Without a ``transition``, the minimum over the net's events — the
-        mirror of :meth:`arrival`, which takes the worst late arrival.
-        """
-        if transition is not None:
-            return self.event(name, transition).early_output_arrival
-        self.event(name)  # raises ModelingError on unknown/un-timed nets
-        return min(event.early_output_arrival
-                   for event in self.events[name].values())
-
-    def slack(self, name: str, transition: Optional[str] = None, *,
-              mode: str = "setup") -> Optional[float]:
-        """``mode`` slack of net ``name`` [s]: the minimum over its constrained events.
-
-        With an explicit ``transition`` (the *input* edge direction, matching
-        :meth:`event`), the slack of exactly that event; None when the queried
-        events are unconstrained in ``mode``.
-        """
-        check_mode(mode)
-        if transition is not None:
-            return self.event(name, transition).slack_for(mode)
-        slacks = [event.slack_for(mode)
-                  for event in self.events.get(name, {}).values()
-                  if event.slack_for(mode) is not None]
-        if not slacks:
-            self.event(name)  # raises ModelingError on unknown/un-timed nets
-            return None
-        return min(slacks)
-
-    def endpoint_events(self, *, mode: str = "setup") -> List[NetEventTiming]:
-        """Every endpoint event, worst (smallest) ``mode`` slack first.
-
-        Unconstrained endpoint events sort after constrained ones, by arrival.
-        """
-        check_mode(mode)
-        events = [event for per_net in self.events.values()
-                  for event in per_net.values() if event.is_endpoint]
-
-        def key(event: NetEventTiming):
-            slack = event.slack_for(mode)
-            return (slack is None,
-                    slack if slack is not None else -event.output_arrival)
-
-        return sorted(events, key=key)
-
-    def worst_slack_event(self, *, mode: str = "setup") -> NetEventTiming:
-        """The constrained endpoint event with the smallest ``mode`` slack."""
-        for event in self.endpoint_events(mode=mode):
-            if event.slack_for(mode) is not None:
-                return event
-        raise ModelingError(
-            f"graph has no {mode}-constrained endpoints; set a required time "
-            "or a clock period before querying slack")
-
-    def _worst_endpoint_slack(self, mode: str) -> Optional[float]:
-        slacks = [event.slack_for(mode) for per_net in self.events.values()
-                  for event in per_net.values()
-                  if event.is_endpoint and event.slack_for(mode) is not None]
-        return min(slacks) if slacks else None
-
-    @property
-    def worst_slack(self) -> Optional[float]:
-        """Worst (most negative) setup slack over every endpoint, None if unconstrained.
-
-        Defined over endpoint events (the conventional WNS domain): mid-path
-        slacks are the same quantities propagated backward and can drift from
-        the endpoint value by a float ULP, so including them would make the
-        summary disagree with the endpoint table.
-        """
-        return self._worst_endpoint_slack("setup")
-
-    @property
-    def worst_hold_slack(self) -> Optional[float]:
-        """Worst (most negative) hold slack over every endpoint, None if unconstrained."""
-        return self._worst_endpoint_slack("hold")
-
-    @property
-    def wns(self) -> Optional[float]:
-        """Worst negative setup slack [s]: 0.0 when all constraints are met."""
-        worst = self.worst_slack
-        if worst is None:
-            return None
-        return min(worst, 0.0)
-
-    @property
-    def whs(self) -> Optional[float]:
-        """Worst negative hold slack [s]: 0.0 when every hold check is met."""
-        worst = self.worst_hold_slack
-        if worst is None:
-            return None
-        return min(worst, 0.0)
-
-    def slack_path(self, *, mode: str = "setup") -> List[NetEventTiming]:
-        """Events from a primary input to the worst-``mode``-slack endpoint.
-
-        Setup paths are traced along late-plane (worst-arrival) sources, hold
-        paths along early-plane (best-arrival) sources — the path whose delays
-        actually produced the checked arrival.
-        """
-        endpoint = self.worst_slack_event(mode=mode)
-        if mode == "hold":
-            return self._trace_early(endpoint)
-        return self._trace(endpoint)
-
-    def _trace_early(self, endpoint: NetEventTiming) -> List[NetEventTiming]:
-        """Early-plane traceback from ``endpoint`` to a primary input."""
-        chain: List[NetEventTiming] = []
-        cursor: Optional[NetEventTiming] = endpoint
-        while cursor is not None:
-            chain.append(cursor)
-            source = cursor.early_source
-            cursor = self.events[source[0]][source[1]] if source is not None else None
-        return list(reversed(chain))
-
-    def format_report(self, *, limit: int = 20) -> str:
-        """Multi-line human-readable summary (critical path + totals)."""
-        lines = [self.graph.describe(),
-                 f"  {self.n_events} events solved in {self.elapsed:.3f} s "
-                 f"(cache hit rate {100 * self.stats.hit_rate:.1f}%)"]
-        if self.incremental is not None:
-            lines.append(f"  {self.incremental.describe()}")
-        if not self.events:
-            lines.append("  (no events: nothing to time)")
-            return "\n".join(lines)
-        worst = self.worst_event()
-        lines.append(f"  worst sink arrival: {worst.net.name} "
-                     f"{to_ps(worst.output_arrival):.1f} ps")
-        worst_slack = self.worst_slack
-        if worst_slack is not None:
-            slack_event = self.worst_slack_event()
-            lines.append(f"  worst slack: {slack_event.net.name} "
-                         f"{to_ps(worst_slack):.1f} ps "
-                         f"(WNS {to_ps(self.wns):.1f} ps)")
-        worst_hold = self.worst_hold_slack
-        if worst_hold is not None:
-            hold_event = self.worst_slack_event(mode="hold")
-            lines.append(f"  worst hold slack: {hold_event.net.name} "
-                         f"{to_ps(worst_hold):.1f} ps "
-                         f"(WHS {to_ps(self.whs):.1f} ps)")
-        lines.append("  critical path:")
-        path = self.critical_path()
-        shown = path if len(path) <= limit else path[:limit]
-        lines.extend(f"    {event.describe()}" for event in shown)
-        if len(path) > limit:
-            lines.append(f"    ... ({len(path) - limit} more events)")
-        return "\n".join(lines)

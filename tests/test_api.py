@@ -2,24 +2,24 @@
 
 The acceptance-critical parts live here:
 
-* ``TimingSession.time(...)`` reproduces ``PathTimer.analyze`` and
-  ``GraphTimer.analyze`` bit-identically on the PR-2 graph workloads,
+* ``TimingSession.time(...)`` on a path matches the serial scalar oracle
+  (``tests/serial_oracle.py``) and, on graphs, reproduces a stand-alone
+  ``GraphEngine`` bit-identically, and
 * ``TimingReport`` JSON round-trips losslessly and serializes stably across
-  runs (rise/fall event ordering included), and
-* the old entry points keep working while emitting ``DeprecationWarning``.
+  runs (rise/fall event ordering included).
 """
 
 import warnings
 
 import pytest
+from serial_oracle import time_path_serial
 
 from repro.api import DesignBuilder, SessionConfig, TimingReport, TimingSession
 from repro.core.driver_model import ModelingOptions
 from repro.errors import ModelingError
 from repro.experiments import parallel_chains, reconvergent_graph
 from repro.interconnect import RLCLine
-from repro.sta import GraphTimer, PathTimer, TimingPath, TimingStage
-from repro.sta._deprecation import reset_deprecation_warnings
+from repro.sta import TimingPath, TimingStage
 from repro.sta.batch import GraphEngine
 from repro.units import mm, nH, pF, ps
 
@@ -44,18 +44,6 @@ def four_stage_path(line):
 def session(library):
     with TimingSession() as active:
         yield active
-
-
-def legacy_path_timer(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return PathTimer(**kwargs)
-
-
-def legacy_graph_timer(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return GraphTimer(**kwargs)
 
 
 class TestSessionConfig:
@@ -190,45 +178,56 @@ class TestDesignBuilder:
 
 
 class TestSessionEquivalence:
-    """Acceptance: session results are bit-identical to the legacy entry points."""
+    """Acceptance: session results match an independent oracle."""
 
-    def test_session_matches_path_timer_exactly(self, session, library,
-                                                four_stage_path):
+    def test_session_matches_serial_oracle(self, session, library,
+                                           four_stage_path):
+        # The session times the path as a chain graph with memoized,
+        # array-batched solves; the oracle is the cache-free scalar loop.
+        # Bounds: <= 1e-12 s on delays, <= 1e-9 relative on slews.
         report = session.time(four_stage_path)
         assert report.kind == "path"
-        legacy = legacy_path_timer(library=library).analyze(four_stage_path)
-        assert len(report.critical_path) == len(legacy.stages)
-        for (name, transition), stage in zip(report.critical_path,
-                                             legacy.stages):
-            event = report.events[name][transition]
-            assert event.input_slew == stage.input_slew
-            assert event.gate_delay == stage.gate_delay
-            assert event.interconnect_delay == stage.interconnect_delay
-            assert event.far_slew == stage.output_slew
-        assert report.total_delay == sum(s.stage_delay for s in legacy.stages)
-        assert report.output_slew == legacy.output_slew
+        serial = time_path_serial(four_stage_path, library=library)
+        assert len(report.critical_path) == len(serial)
+        for event, stage in zip(report.critical_events(), serial):
+            assert event.output_transition == stage.transition
+            assert abs(event.gate_delay - stage.gate_delay) <= 1e-12
+            assert abs(event.stage_delay - stage.stage_delay) <= 1e-12
+            assert event.input_slew == pytest.approx(stage.input_slew, rel=1e-9)
+            assert event.far_slew == pytest.approx(stage.output_slew, rel=1e-9)
+        assert abs(report.total_delay
+                   - sum(stage.stage_delay for stage in serial)) <= 1e-12
+        assert report.output_slew == pytest.approx(serial[-1].output_slew,
+                                                   rel=1e-9)
 
     @pytest.mark.parametrize("case", ["chains", "diamond"])
     def test_session_matches_graph_timer_exactly(self, session, library, line,
                                                  case):
+        # A stand-alone GraphEngine with its own memo, traced by hand.
         if case == "chains":
             graph = parallel_chains(3, 2, lines=[line], input_slew=ps(100))
         else:
             graph = reconvergent_graph(line=line)
         report = session.time(graph, name=case)
-        legacy = legacy_graph_timer(library=library).analyze(graph)
-        assert report.n_events == legacy.n_events
-        for name, per_net in legacy.events.items():
-            for transition, event in per_net.items():
-                ours = report.events[name][transition]
-                assert ours.input_arrival == event.input_arrival
-                assert ours.output_arrival == event.output_arrival
-                assert ours.input_slew == event.input_slew
-                assert ours.far_slew == event.solution.far_slew
-                assert ours.source == event.source
-        legacy_critical = [(e.net.name, e.input_transition)
-                           for e in legacy.critical_path()]
-        assert report.critical_path == legacy_critical
+        analysis = GraphEngine(library=library).analyze(graph)
+        events = [event for per_net in analysis.events.values()
+                  for event in per_net.values()]
+        assert report.n_events == len(events)
+        for event in events:
+            ours = report.events[event.net.name][event.input_transition]
+            assert ours.input_arrival == event.input_arrival
+            assert ours.output_arrival == event.output_arrival
+            assert ours.input_slew == event.input_slew
+            assert ours.far_slew == event.solution.far_slew
+            assert ours.source == event.source
+        cursor = max((event for event in events if not event.net.fanout),
+                     key=lambda event: event.output_arrival)
+        critical = []
+        while cursor is not None:
+            critical.insert(0, (cursor.net.name, cursor.input_transition))
+            source = cursor.source
+            cursor = analysis.events[source[0]][source[1]] if source else None
+        assert report.critical_path == critical
 
     def test_builder_and_graph_agree(self, session, line):
         graph = parallel_chains(1, 2, lines=[line], sizes=(75.0, 100.0),
@@ -246,37 +245,6 @@ class TestSessionEquivalence:
 
 
 class TestDeprecatedShims:
-    def test_path_timer_warns_but_works(self, library, four_stage_path):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="TimingSession"):
-            timer = PathTimer(library=library)
-        assert timer.analyze(four_stage_path).total_delay > 0
-
-    def test_graph_timer_warns_but_works(self, library, line):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="TimingSession"):
-            timer = GraphTimer(library=library)
-        report = timer.analyze(reconvergent_graph(line=line))
-        assert report.n_events == 6
-
-    def test_shims_warn_once_per_process(self, library):
-        # Constructing shims in a loop must not spam one warning per iteration.
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            GraphTimer(library=library)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            for _ in range(3):
-                GraphTimer(library=library)
-
-    def test_warning_points_at_the_constructing_line(self, library):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            GraphTimer(library=library)  # the line the warning must blame
-        (record,) = caught
-        assert record.filename == __file__
-
     def test_graph_engine_does_not_warn(self, library):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -7,6 +7,8 @@ connection each, so tests never share HTTP state).
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -239,6 +241,27 @@ class TestHTTP:
         with pytest.raises(ServeError) as excinfo:
             client.request("POST", "/designs/%s/edits" % attached, {"edits": "no"})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_rejected_before_reading(self, server, length):
+        # rfile.read(-1) blocks until the client hangs up, so a negative
+        # length must get its 400 without the handler reading the body.
+        head = (f"POST /designs HTTP/1.1\r\nHost: {server.host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n")
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            response = b""
+            while True:  # the server hangs up after answering
+                chunk = sock.recv(4096)  # socket.timeout fails the test
+                if not chunk:
+                    break
+                response += chunk
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line.split()[1] == b"400", response
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert body["error"] == "validation"
+        assert "Content-Length" in body["message"]
 
     def test_edit_round_trip_and_diff(self, client, attached):
         before = client.wns(attached)

@@ -2,14 +2,15 @@
 
 
 import pytest
+from serial_oracle import stage_load
 
+from repro.api import TimingReport
 from repro.core import StageSolver
 from repro.errors import ModelingError
 from repro.experiments import (fanout_tree, parallel_chains, reconvergent_graph)
 from repro.interconnect import RLCLine
-from repro.sta import (GraphEngine, GraphNet, GraphTimer, PathTimer,
-                       PrimaryInput, TimingGraph, TimingPath, TimingStage,
-                       chain_graph, flip_transition)
+from repro.sta import (GraphEngine, GraphNet, PrimaryInput, TimingGraph,
+                       TimingPath, TimingStage, chain_graph, flip_transition)
 from repro.units import mm, nH, pF, ps
 
 
@@ -39,6 +40,11 @@ def diamond(line):
 def fresh_diamond(line):
     """A private diamond per test — for tests that edit/constrain the graph."""
     return build_diamond(line)
+
+
+def timed(engine, graph):
+    """Analyze ``graph`` and flatten the result into the queryable report."""
+    return TimingReport.from_graph_report(engine.analyze(graph), design="graph")
 
 
 @pytest.fixture(scope="module")
@@ -132,28 +138,27 @@ class TestStructure:
 class TestLoadsAndMerging:
     def test_fanout_load_matches_stage_load(self, line, library, tech):
         # A chain net's gate load (from its fanout driver) must be bit-identical
-        # to the single-path engine's receiver load for the same stage.
+        # to the stage's own receiver load, as the serial oracle computes it.
         path = TimingPath("p", [
             TimingStage("s1", driver_size=75, line=line, receiver_size=100),
             TimingStage("s2", driver_size=100, line=line, receiver_size=50),
         ], input_slew=ps(100))
-        timer = PathTimer(library=library, tech=tech)
+        engine = GraphEngine(library=library, tech=tech)
         graph, names = chain_graph(path)
-        graph_timer = timer._graph_timer
         for stage, name in zip(path.stage_list, names):
-            assert graph_timer.net_load(graph, graph.nets[name]) == \
-                timer._stage_load(stage)
+            assert engine.net_load(graph, graph.nets[name]) == \
+                stage_load(stage, tech)
 
     def test_fanout_load_sums_every_receiver(self, line, library, tech):
         nets = [GraphNet("n", 75.0, line, fanout=("x", "y"), receiver_size=25.0,
                          extra_load=2e-15),
                 GraphNet("x", 100.0, line), GraphNet("y", 50.0, line)]
         graph = TimingGraph(nets, {"n": PrimaryInput(slew=ps(100))})
-        timer = GraphTimer(library=library, tech=tech)
+        engine = GraphEngine(library=library, tech=tech)
         expected = (2e-15 + tech.inverter_input_capacitance(100)
                     + tech.inverter_input_capacitance(50)
                     + tech.inverter_input_capacitance(25))
-        assert timer.net_load(graph, graph.nets["n"]) == expected
+        assert engine.net_load(graph, graph.nets["n"]) == expected
 
     def test_worst_arrival_merge_wins(self, line, library):
         # sink's fanins have the same parity but different depth, so the longer
@@ -167,7 +172,7 @@ class TestLoadsAndMerging:
             GraphNet("sink", 50.0, line, receiver_size=25.0),
         ]
         graph = TimingGraph(nets, {"root": PrimaryInput(slew=ps(100))})
-        report = GraphTimer(library=library).analyze(graph)
+        report = GraphEngine(library=library).analyze(graph)
         sink_events = report.events["sink"]
         assert set(sink_events) == {"fall"}  # equal parity: one transition
         event = sink_events["fall"]
@@ -178,26 +183,29 @@ class TestLoadsAndMerging:
         assert event.source == (winner, "rise")
 
     def test_reconvergent_graph_times_both_transitions(self, library):
-        report = GraphTimer(library=library).analyze(reconvergent_graph())
+        graph = reconvergent_graph()
+        report = timed(GraphEngine(library=library), graph)
         sink = report.events["sink"]
         assert set(sink) == {"rise", "fall"}
-        assert report.n_events == len(report.graph) + 1
+        assert report.n_events == len(graph) + 1
         # Traceback from the worst sink event reaches the primary input.
-        path = report.critical_path()
-        assert path[0].net.name == "root"
+        path = report.critical_events()
+        assert path[0].net == "root"
         assert path[0].source is None
-        assert path[-1].net.name == "sink"
+        assert path[-1].net == "sink"
         arrivals = [event.output_arrival for event in path]
         assert arrivals == sorted(arrivals)
 
 
 class TestGraphTimer:
+    """Whole-graph analysis by :class:`GraphEngine`, queried as a TimingReport."""
+
     def test_rejects_non_graph(self, library):
         with pytest.raises(ModelingError):
-            GraphTimer(library=library).analyze("not a graph")
+            GraphEngine(library=library).analyze("not a graph")
 
     def test_report_queries_and_formatting(self, library, diamond):
-        report = GraphTimer(library=library).analyze(diamond)
+        report = timed(GraphEngine(library=library), diamond)
         assert report.arrival("sink") == report.worst_event().output_arrival
         assert report.arrival("sink", "fall") == \
             report.events["sink"]["fall"].output_arrival
@@ -213,17 +221,17 @@ class TestGraphTimer:
         # One line flavor -> the 6 chains are bit-identical.
         graph = parallel_chains(6, 3, lines=[line], input_slew=ps(100))
         solver = StageSolver()
-        report = GraphTimer(library=library, solver=solver).analyze(graph)
+        report = timed(GraphEngine(library=library, solver=solver), graph)
         # 6 identical chains share one chain's worth of unique stage solves.
-        assert report.stats.computed == 3
-        assert report.stats.memo_hits == 15
-        assert report.stats.hit_rate == pytest.approx(15 / 18)
+        assert report.meta.computed == 3
+        assert report.meta.memo_hits == 15
+        assert report.meta.hit_rate == pytest.approx(15 / 18)
         arrivals = {report.arrival(name) for name in graph.sinks}
         assert len(arrivals) == 1  # identical chains, identical arrivals
 
     def test_fanout_tree_analysis(self, library):
         graph = fanout_tree(3)
-        report = GraphTimer(library=library).analyze(graph)
+        report = timed(GraphEngine(library=library), graph)
         assert report.n_events == len(graph) == 15
         # Every level deeper arrives strictly later.
         assert report.arrival("t") < report.arrival("t.0") < \
@@ -248,7 +256,7 @@ class TestConstraintsAndSlack:
 
     def test_unconstrained_graph_reports_no_slack(self, library, shared_solver,
                                                   fresh_diamond):
-        report = self.engine(library, shared_solver).analyze(fresh_diamond)
+        report = timed(self.engine(library, shared_solver), fresh_diamond)
         assert report.worst_slack is None and report.wns is None
         assert report.slack("sink") is None
         with pytest.raises(ModelingError):
@@ -258,7 +266,7 @@ class TestConstraintsAndSlack:
                                                     shared_solver,
                                                     fresh_diamond):
         fresh_diamond.set_clock_period(ps(800))
-        report = self.engine(library, shared_solver).analyze(fresh_diamond)
+        report = timed(self.engine(library, shared_solver), fresh_diamond)
         for event in report.events["sink"].values():
             assert event.required == ps(800)
             assert event.slack == ps(800) - event.output_arrival
@@ -275,7 +283,7 @@ class TestConstraintsAndSlack:
         # requirement and check they stay separate.
         graph = reconvergent_graph(line=line)
         engine = self.engine(library, shared_solver)
-        base = engine.analyze(graph)
+        base = timed(engine, graph)
         rise_arrival = base.events["sink"]["fall"].output_arrival  # out rises
         fall_arrival = base.events["sink"]["rise"].output_arrival  # out falls
         # Make the *earlier-arriving* output edge the critical one: its pin is
@@ -284,7 +292,7 @@ class TestConstraintsAndSlack:
             if rise_arrival <= fall_arrival else ("fall", "rise")
         graph.set_required("sink", ps(220), transition=early_out)
         graph.set_required("sink", ps(900), transition=late_out)
-        report = engine.analyze(graph)
+        report = timed(engine, graph)
         events = {event.output_transition: event
                   for event in report.events["sink"].values()}
         assert events[early_out].required == ps(220)
@@ -295,7 +303,7 @@ class TestConstraintsAndSlack:
         # Slack traceback follows the constrained event's worst-arrival sources
         # back to the primary input, and slack never improves along the path.
         path = report.slack_path()
-        assert path[0].net.name == "root" and path[0].source is None
+        assert path[0].net == "root" and path[0].source is None
         assert path[-1] is worst
         slacks = [event.slack for event in path]
         assert all(s is not None for s in slacks)
@@ -309,17 +317,17 @@ class TestConstraintsAndSlack:
                                                  fresh_diamond):
         fresh_diamond.set_clock_period(ps(800))
         fresh_diamond.set_required("sink", ps(300))  # both directions
-        report = self.engine(library, shared_solver).analyze(fresh_diamond)
+        report = timed(self.engine(library, shared_solver), fresh_diamond)
         for event in report.events["sink"].values():
             assert event.required == ps(300)
 
     def test_negative_slack_and_wns(self, library, shared_solver,
                                     fresh_diamond):
         fresh_diamond.set_required("sink", ps(100))
-        report = self.engine(library, shared_solver).analyze(fresh_diamond)
+        report = timed(self.engine(library, shared_solver), fresh_diamond)
         assert report.worst_slack < 0
         assert report.wns == report.worst_slack
-        table = report.endpoint_events()
+        table = report.endpoint_slacks()
         assert table[0] is report.worst_slack_event()
         assert "slack" in report.format_report()
 
@@ -336,12 +344,12 @@ class TestConstraintsAndSlack:
         graph = TimingGraph(nets, {"root": PrimaryInput(slew=ps(100))})
         graph.set_required("a", ps(400))
         graph.set_required("b", ps(300))
-        report = self.engine(library, shared_solver).analyze(graph)
+        report = timed(self.engine(library, shared_solver), graph)
         root = report.events["root"]["rise"]
         a = report.events["a"]["fall"]
         b = report.events["b"]["fall"]
-        assert root.required == min(ps(400) - a.solution.stage_delay,
-                                    ps(300) - b.solution.stage_delay)
+        assert root.required == min(ps(400) - a.stage_delay,
+                                    ps(300) - b.stage_delay)
 
 
 class TestGraphEdits:
@@ -424,12 +432,13 @@ class TestGraphEdits:
                 GraphNet("c", 25.0, line, receiver_size=125.0)]
         graph = TimingGraph(nets, {"a": PrimaryInput(slew=ps(100)),
                                    "c": PrimaryInput(slew=ps(100))})
-        report = GraphEngine(library=library, solver=shared_solver).analyze(graph)
-        worst = report.worst_event()
-        assert worst.net.name == "c"  # the weak, heavily loaded driver
+        analysis = GraphEngine(library=library, solver=shared_solver).analyze(graph)
+        before = TimingReport.from_graph_report(analysis, design="graph")
+        assert before.worst_event().net == "c"  # the weak, heavily loaded driver
         graph.add_fanout("c", "b")  # c is no longer a sink of the live graph
-        assert report.worst_event() is worst
-        assert report.critical_path()[-1] is worst
+        after = TimingReport.from_graph_report(analysis, design="graph")
+        assert after.critical_path == before.critical_path
+        assert after.worst_event() == before.worst_event()
 
     def test_cone_queries_validate_names(self, fresh_diamond):
         with pytest.raises(ModelingError, match="unknown net"):
