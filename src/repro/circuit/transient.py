@@ -18,6 +18,11 @@ Performance notes
   iteration.  A full re-factorization path exists as a fallback.
 * History terms for the (typically many) capacitors and inductors of ladder
   networks are computed with vectorized numpy operations.
+* For MOSFET-free circuits driven by one voltage source, the whole recurrence
+  is a linear state-space system in the reactive-element history.
+  :func:`linear_source_kernels` forms it once per circuit and steps a batch of
+  circuits together, one batched matrix product per time step, to obtain
+  their impulse kernels.
 """
 
 from __future__ import annotations
@@ -30,14 +35,14 @@ from scipy.sparse import linalg as spla
 
 from ..analysis.waveform import Waveform
 from ..constants import NEWTON_ITOL, NEWTON_MAX_ITERATIONS, NEWTON_VTOL
-from ..errors import ConvergenceError, SimulationError
+from ..errors import CircuitError, ConvergenceError, SimulationError
 from .elements import Capacitor, CurrentSource, Inductor, Resistor, VoltageSource
 from .mna import MnaIndex, StampAccumulator
 from .mosfet import Mosfet
 from .netlist import Circuit
 
 __all__ = ["TransientOptions", "TransientResult", "linear_source_kernel",
-           "run_transient"]
+           "linear_source_kernels", "run_transient"]
 
 
 @dataclass(frozen=True)
@@ -423,22 +428,30 @@ class _TransientEngine:
         return TransientResult(self.index, times, voltages, branch_store)
 
 
-def linear_source_kernel(circuit: Circuit, source_name: str, n_steps: int, *,
-                         options: TransientOptions, output_node: str) -> np.ndarray:
-    """Discrete impulse response of ``output_node`` to the named voltage source.
+#: Time steps whose kernel states are kept at once: the far-end kernels are read
+#: out of a ``[block, lanes, n + 1]`` state history one block at a time.
+KERNEL_BLOCK_STEPS = 256
+#: Bytes one kernel batch may hold in state matrices plus its state history;
+#: larger batches are stepped in several lane chunks.
+KERNEL_BATCH_BYTES = 8 << 20
 
-    For a MOSFET-free circuit the fixed-step companion-model recurrence is exactly
-    linear and time-invariant: the solution at step ``t`` is a superposition of the
-    per-step source values.  This returns the kernel ``g`` of that superposition —
-    ``g[t]`` is the ``output_node`` voltage ``t`` steps after a one-step unit
-    excitation of ``source_name``'s branch equation, starting from an all-zero
-    state — using the same static LU factorization and companion updates as
-    :func:`run_transient`, so convolving ``g`` with a source's sample deltas
-    reproduces the stepped solve to roundoff.  ``g[0]`` is 0 (the excitation lands
-    on step 1, matching how :func:`run_transient` applies sources).
+
+def _kernel_system(circuit: Circuit, source_name: str, options: TransientOptions,
+                   output_node: str) -> tuple:
+    """``(transition, g, d)`` of one circuit's companion recurrence.
+
+    Without MOSFETs and current sources, every fixed step of :func:`run_transient`
+    is linear in the history vector ``s`` = (capacitor equivalent currents,
+    inductor history voltages) and the source value ``u``: the MNA solution is
+    ``x = LU^-1 (N s + b u)`` and the next history is ``M x - D s``, where ``N``
+    scatters the history into the right-hand side, ``M`` reads it back from the
+    solution and ``D`` is the identity on the capacitor entries under the
+    trapezoidal rule (zero under backward Euler).  So ``s' = phi s + g u`` and the
+    output is ``c s + d u``, with ``phi = M LU^-1 N - D``; one multi-right-hand-side
+    solve with the static LU factorization gives all four.  ``transition`` stacks
+    ``phi`` over the output row ``c``, so one product advances the state and reads
+    the output.
     """
-    if n_steps < 1:
-        raise SimulationError("t_stop is shorter than one time step")
     engine = _TransientEngine(circuit, options)
     if engine.mosfets or engine.isources:
         raise SimulationError(
@@ -447,49 +460,127 @@ def linear_source_kernel(circuit: Circuit, source_name: str, n_steps: int, *,
     source = next((v for v in engine.vsources if v.name == source_name), None)
     if source is None:
         raise SimulationError(f"unknown voltage source {source_name!r}")
-    branch = engine.index.branch(source)
-    out_idx = engine.index.node(output_node)
+    try:
+        out_idx = engine.index.node(output_node)
+    except CircuitError:
+        out_idx = None
     if out_idx is None:
         raise SimulationError(f"unknown output node {output_node!r}")
 
     trap = options.method == "trap"
-    lu = engine._static_lu
     size = engine.size
-    cap_geq, cap_pos, cap_neg = engine.cap_geq, engine.cap_pos, engine.cap_neg
-    ind_req, ind_branch = engine.ind_req, engine.ind_branch
-    ind_pos, ind_neg = engine.ind_pos, engine.ind_neg
     n_caps = len(engine.capacitors)
-    n_inds = len(engine.inductors)
-    cap_v = np.zeros(n_caps)
-    cap_i = np.zeros(n_caps)
-    ind_i = np.zeros(n_inds)
-    ind_v = np.zeros(n_inds)
-    x_aug = np.zeros(size + 1)  # trailing ground slot
-    kernel = np.zeros(n_steps + 1)
-    for step in range(1, n_steps + 1):
-        cap_ieq = cap_geq * cap_v + (cap_i if trap else 0.0)
-        rhs_aug = np.zeros(size + 1)
-        if n_caps:
-            np.add.at(rhs_aug, cap_pos, cap_ieq)
-            np.add.at(rhs_aug, cap_neg, -cap_ieq)
-        if n_inds:
-            np.add.at(rhs_aug, ind_branch,
-                      -ind_req * ind_i - (ind_v if trap else 0.0))
-        rhs = rhs_aug[:-1]
-        if step == 1:
-            rhs[branch] += 1.0
-        x = lu.solve(rhs)
-        x_aug[:-1] = x
-        if n_caps:
-            new_cap_v = x_aug[cap_pos] - x_aug[cap_neg]
-            cap_i = cap_geq * new_cap_v - cap_ieq if trap \
-                else cap_geq * (new_cap_v - cap_v)
-            cap_v = new_cap_v
-        if n_inds:
-            ind_i = x[ind_branch]
-            ind_v = x_aug[ind_pos] - x_aug[ind_neg]
-        kernel[step] = x[out_idx]
-    return kernel
+    n_state = n_caps + len(engine.inductors)
+    caps = np.arange(n_caps)
+    inds = np.arange(n_caps, n_state)
+    scatter = np.zeros((size + 1, n_state + 1))  # trailing ground row
+    np.add.at(scatter, (engine.cap_pos, caps), 1.0)
+    np.add.at(scatter, (engine.cap_neg, caps), -1.0)
+    scatter[engine.ind_branch, inds] = 1.0
+    scatter[engine.index.branch(source), n_state] = 1.0
+    solved = np.zeros((size + 1, n_state + 1))
+    solved[:-1] = engine._static_lu.solve(np.asfortranarray(scatter[:-1]))
+
+    system = np.empty((n_state + 1, n_state + 1))
+    cap_v = solved[engine.cap_pos] - solved[engine.cap_neg]
+    system[:n_caps] = (2.0 if trap else 1.0) * engine.cap_geq[:, None] * cap_v
+    system[n_caps:n_state] = -engine.ind_req[:, None] * solved[engine.ind_branch]
+    if trap:
+        system[n_caps:n_state] -= solved[engine.ind_pos] - solved[engine.ind_neg]
+        system[caps, caps] -= 1.0
+    system[n_state] = solved[out_idx]
+    return system[:, :n_state], system[:n_state, n_state], system[n_state, n_state]
+
+
+def _step_kernels(transition: np.ndarray, g: np.ndarray, d: np.ndarray,
+                  steps: np.ndarray) -> np.ndarray:
+    """Kernels of equal-size lanes, ``steps`` sorted in descending order.
+
+    Every lane starts from the all-zero history with a unit source on step 1,
+    so step 1 reads ``d``, the history after it is ``g``, and each later step is
+    one batched ``transition`` product that yields the next history and this
+    step's output.  States are kept one block of steps at a time; lanes whose
+    kernel is complete drop out at block boundaries.
+    """
+    lanes, n = g.shape
+    total = int(steps[0])
+    kernels = np.zeros((lanes, total + 1))
+    kernels[:, 1] = d
+    if total < 2:
+        return kernels
+    block = np.empty((min(KERNEL_BLOCK_STEPS, total - 1), lanes, n + 1))
+    state = g
+    step = 2  # the step whose output is block[0, :, n]
+    while True:
+        count = min(block.shape[0], total - step + 1)
+        active = int(np.count_nonzero(steps >= step))
+        matrices = transition[:active]
+        np.matmul(matrices, state[:active, :, None], out=block[0, :active, :, None])
+        for k in range(1, count):
+            np.matmul(matrices, block[k - 1, :active, :n, None],
+                      out=block[k, :active, :, None])
+        kernels[:active, step:step + count] = block[:count, :active, n].T
+        step += count
+        if step > total:
+            return kernels
+        state = block[count - 1, :, :n].copy()
+
+
+def linear_source_kernels(circuits: Sequence[Circuit], source_name: str,
+                          n_steps: Sequence[int], *,
+                          options: TransientOptions, output_node: str
+                          ) -> List[np.ndarray]:
+    """Discrete impulse responses of ``output_node`` to the named voltage source.
+
+    For a MOSFET-free circuit the fixed-step companion-model recurrence is exactly
+    linear and time-invariant: the solution at step ``t`` is a superposition of the
+    per-step source values.  This returns, per circuit, the kernel ``g`` of that
+    superposition — ``g[t]`` is the ``output_node`` voltage ``t`` steps after a
+    one-step unit excitation of ``source_name``'s branch equation, starting from
+    an all-zero state — so convolving ``g`` with a source's sample deltas
+    reproduces :func:`run_transient` to roundoff.  ``g[0]`` is 0 (the excitation
+    lands on step 1, matching how :func:`run_transient` applies sources).
+
+    Each circuit's recurrence is reduced to its history state-space form (see
+    :func:`_kernel_system`), and circuits with the same state size are stepped
+    together, one batched matrix product per time step.  Every lane runs the same
+    products whatever else is in the batch, so a kernel is bit-identical to its
+    one-circuit computation.  (Zero-padding lanes to a common size would be exact
+    in real arithmetic, but BLAS sums a longer row in a different order.)
+    ``n_steps`` holds one step count per circuit.
+    """
+    counts = list(n_steps)
+    if len(counts) != len(circuits):
+        raise SimulationError("one step count is needed per circuit")
+    if any(count < 1 for count in counts):
+        raise SimulationError("t_stop is shorter than one time step")
+    systems = [_kernel_system(circuit, source_name, options, output_node)
+               for circuit in circuits]
+    by_size: Dict[int, List[int]] = {}
+    for lane, (_, g, _) in enumerate(systems):
+        by_size.setdefault(g.size, []).append(lane)
+    kernels: List[Optional[np.ndarray]] = [None] * len(circuits)
+    for size, lanes in by_size.items():
+        lanes.sort(key=lambda lane: -counts[lane])
+        per_chunk = max(1, KERNEL_BATCH_BYTES
+                        // ((size + 1) * (size + KERNEL_BLOCK_STEPS) * 8))
+        for start in range(0, len(lanes), per_chunk):
+            chunk = lanes[start:start + per_chunk]
+            stepped = _step_kernels(
+                np.stack([systems[lane][0] for lane in chunk]),
+                np.stack([systems[lane][1] for lane in chunk]),
+                np.array([systems[lane][2] for lane in chunk]),
+                np.array([counts[lane] for lane in chunk]))
+            for row, lane in enumerate(chunk):
+                kernels[lane] = stepped[row, :counts[lane] + 1].copy()
+    return kernels
+
+
+def linear_source_kernel(circuit: Circuit, source_name: str, n_steps: int, *,
+                         options: TransientOptions, output_node: str) -> np.ndarray:
+    """The one-circuit case of :func:`linear_source_kernels`."""
+    return linear_source_kernels([circuit], source_name, [n_steps], options=options,
+                                 output_node=output_node)[0]
 
 
 def run_transient(circuit: Circuit, t_stop: float, dt: Optional[float] = None, *,

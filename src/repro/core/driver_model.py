@@ -27,7 +27,7 @@ from ..constants import (CEFF_MAX_ITERATIONS, CEFF_REL_TOL, SLEW_HIGH_THRESHOLD,
                          SLEW_LOW_THRESHOLD)
 from ..errors import ModelingError
 from ..interconnect.admittance import RationalAdmittance, fit_rational_admittance
-from ..interconnect.moments import admittance_moments
+from ..interconnect.moments import admittance_moments, ladder_moments_batch
 from ..interconnect.rlc_line import RLCLine
 from .ceff import AdmittanceBatch, ceff_first_ramp_batch, ceff_second_ramp_batch
 from .criteria import CriteriaThresholds, InductanceReport, evaluate_inductance_criteria
@@ -280,8 +280,11 @@ def model_driver_output_batch(
     by lane to complex roundoff (~1 ulp, from NumPy's vectorized complex multiply;
     see :class:`~repro.core.ceff.AdmittanceBatch`), orders of magnitude inside the
     1e-9 relative equivalence gate.  Identical (line, load, admittance options) lanes
-    share one moment computation; ``admittance_cache`` extends that dedupe across
-    batches (the mapping is read and updated in place).
+    share one moment computation, and all missing moments of one order come from a
+    single :func:`~repro.interconnect.moments.ladder_moments_batch` call, whose
+    lanes are bit-identical to the scalar :func:`admittance_moments`;
+    ``admittance_cache`` extends that dedupe across batches (the mapping is read
+    and updated in place).
     """
     n = len(requests)
     if n == 0:
@@ -296,16 +299,24 @@ def model_driver_output_batch(
             raise ModelingError("load capacitance must be non-negative")
         resolved.append((cell, input_slew, line, load_capacitance, options))
 
-    # Admittance fits deduped within the batch (and across batches via the cache).
+    # Admittance fits deduped within the batch (and across batches via the cache);
+    # the moments of every miss sharing a moment order come from one batch call.
     cache = admittance_cache if admittance_cache is not None else {}
-    admittances: List[RationalAdmittance] = []
-    for cell, input_slew, line, load_capacitance, options in resolved:
-        key = _admittance_cache_key(line, load_capacitance, options)
-        admittance = cache.get(key)
-        if admittance is None:
-            admittance = _admittance_for(line, load_capacitance, options)
-            cache[key] = admittance
-        admittances.append(admittance)
+    keys = [_admittance_cache_key(line, load_capacitance, options)
+            for _, _, line, load_capacitance, options in resolved]
+    misses: Dict[int, Dict[Tuple, Tuple[RLCLine, float, Optional[int]]]] = {}
+    for key, (_, _, line, load_capacitance, options) in zip(keys, resolved):
+        if cache.get(key) is None:
+            misses.setdefault(options.admittance_order, {})[key] = (
+                line, load_capacitance, options.moment_segments)
+    for order, lanes in misses.items():
+        moments, _ = ladder_moments_batch(
+            [line for line, _, _ in lanes.values()],
+            [load for _, load, _ in lanes.values()], order=order,
+            n_segments=[segments for _, _, segments in lanes.values()])
+        for key, row in zip(lanes, moments):
+            cache[key] = fit_rational_admittance(row)
+    admittances: List[RationalAdmittance] = [cache[key] for key in keys]
 
     # Lanes grouped by (cell tables, output transition) for vectorized lookups.
     group_index: Dict[Tuple[int, str], int] = {}

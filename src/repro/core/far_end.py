@@ -18,7 +18,7 @@ import numpy as np
 from ..analysis.waveform import Waveform
 from ..circuit.netlist import Circuit
 from ..circuit.sources import DCSource, PWLSource, SourceFunction
-from ..circuit.transient import TransientOptions, linear_source_kernel, run_transient
+from ..circuit.transient import TransientOptions, linear_source_kernels, run_transient
 from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..errors import ModelingError, SimulationError
 from ..interconnect.ladder import add_line_ladder
@@ -48,9 +48,7 @@ class FarEndResponse:
     def far_delay(self) -> float:
         """50% delay from the reference time to the far-end crossing [s]."""
         return self.far.delay(self.vdd, reference_time=self.reference_time,
-                              rising=self.rising) \
-            if self.rising else \
-            self.far.delay(self.vdd, reference_time=self.reference_time, rising=False)
+                              rising=self.rising)
 
     def far_slew(self, *, low: float = SLEW_LOW_THRESHOLD,
                  high: float = SLEW_HIGH_THRESHOLD) -> float:
@@ -62,6 +60,17 @@ class FarEndResponse:
         near_cross = self.near.time_at_level(0.5 * self.vdd, rising=self.rising)
         far_cross = self.far.time_at_level(0.5 * self.vdd, rising=self.rising)
         return far_cross - near_cross
+
+
+def _line_circuit(name: str, source: SourceFunction, line: RLCLine,
+                  load_capacitance: float, segments: int) -> Circuit:
+    """``source`` (as ``Vdrv``) driving ``line`` from ``near`` to a loaded ``far``."""
+    circuit = Circuit(name)
+    circuit.voltage_source("near", "0", source, name="Vdrv")
+    add_line_ladder(circuit, line, "near", "far", n_segments=segments)
+    if load_capacitance > 0:
+        circuit.capacitor("far", "0", load_capacitance, name="Cload")
+    return circuit
 
 
 def simulate_source_through_line(source: SourceFunction, line: RLCLine,
@@ -77,11 +86,8 @@ def simulate_source_through_line(source: SourceFunction, line: RLCLine,
         raise ModelingError("t_stop must be positive")
     segments = n_segments if n_segments is not None else line.recommended_segments()
     step = dt if dt is not None else min(ps(0.2), line.time_of_flight / max(segments, 1))
-    circuit = Circuit("far_end_validation")
-    circuit.voltage_source("near", "0", source, name="Vdrv")
-    add_line_ladder(circuit, line, "near", "far", n_segments=segments)
-    if load_capacitance > 0:
-        circuit.capacitor("far", "0", load_capacitance, name="Cload")
+    circuit = _line_circuit("far_end_validation", source, line, load_capacitance,
+                            segments)
     result = run_transient(circuit, t_stop,
                            options=TransientOptions(dt=step, store_branch_currents=False))
     return FarEndResponse(near=result.waveform("near"), far=result.waveform("far"),
@@ -96,20 +102,6 @@ def _causal_convolve(deltas: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.stack([np.convolve(row, kernel)[:n] for row in deltas])
 
 
-def _far_end_kernel(line: RLCLine, load_capacitance: float, segments: int,
-                    dt: float, n_steps: int) -> np.ndarray:
-    """Impulse kernel of the far node for one (line, load, segments, dt) circuit."""
-    circuit = Circuit("far_end_kernel")
-    circuit.voltage_source("near", "0", DCSource(0.0), name="Vdrv")
-    add_line_ladder(circuit, line, "near", "far", n_segments=segments)
-    if load_capacitance > 0:
-        circuit.capacitor("far", "0", load_capacitance, name="Cload")
-    return linear_source_kernel(
-        circuit, "Vdrv", n_steps,
-        options=TransientOptions(dt=dt, store_branch_currents=False),
-        output_node="far")
-
-
 def far_end_response_batch(models: Sequence[DriverOutputModel], *,
                            kernel_cache: Optional[MutableMapping] = None
                            ) -> List[FarEndResponse]:
@@ -118,7 +110,8 @@ def far_end_response_batch(models: Sequence[DriverOutputModel], *,
     The fixed-step transient of a source-driven RLC ladder is linear and
     time-invariant, so instead of stepping each lane's circuit separately the
     batch computes one impulse kernel per unique (line, load, segments, dt)
-    circuit (see :func:`~repro.circuit.transient.linear_source_kernel`) and
+    circuit — every missing kernel of one ``dt`` in a single batched call of
+    :func:`~repro.circuit.transient.linear_source_kernels` — and
     obtains every lane's far-end waveform by convolving the kernel with that
     lane's source samples — superposed around the lane's initial source level, so
     rising and falling edges share a kernel.  ``kernel_cache`` reuses kernels
@@ -144,17 +137,33 @@ def far_end_response_batch(models: Sequence[DriverOutputModel], *,
                segments, float(dt).hex())
         groups.setdefault(key, []).append((idx, model, two_ramp, end, n_steps, dt))
 
+    # Kernels missing from the cache are built together, one batch per step size.
+    longest = {key: max(member[4] for member in members)
+               for key, members in groups.items()}
+    kernels: Dict[Tuple, np.ndarray] = {}
+    missing: Dict[str, List[Tuple]] = {}
     for key, members in groups.items():
-        _, first_model, _, _, _, dt = members[0]
-        max_steps = max(member[4] for member in members)
         kernel = kernel_cache.get(key) if kernel_cache is not None else None
-        if kernel is None or kernel.size < max_steps + 1:
-            kernel = _far_end_kernel(first_model.line,
-                                     first_model.load_capacitance,
-                                     key[2], dt, max_steps)
+        if kernel is None or kernel.size < longest[key] + 1:
+            missing.setdefault(key[3], []).append((key, members[0][1], longest[key]))
+        else:
+            kernels[key] = kernel
+    for dt_hex, entries in missing.items():
+        built = linear_source_kernels(
+            [_line_circuit("far_end_kernel", DCSource(0.0), model.line,
+                           model.load_capacitance, key[2])
+             for key, model, _ in entries],
+            "Vdrv", [max_steps for _, _, max_steps in entries],
+            options=TransientOptions(dt=float.fromhex(dt_hex),
+                                     store_branch_currents=False),
+            output_node="far")
+        for (key, _, _), kernel in zip(entries, built):
+            kernels[key] = kernel
             if kernel_cache is not None:
                 kernel_cache[key] = kernel
 
+    for key, members in groups.items():
+        kernel, max_steps = kernels[key], longest[key]
         deltas = np.zeros((len(members), max_steps))
         sampled = []
         for row, (idx, model, two_ramp, end, n_steps, dt) in enumerate(members):

@@ -5,7 +5,7 @@ from .admittance import (PiModel, RationalAdmittance, fit_pi_model,
 from .geometry import WireGeometry
 from .ladder import add_line_ladder
 from .moments import (admittance_moments, admittance_series, elmore_delay,
-                      transfer_moments, transfer_series)
+                      ladder_moments_batch, transfer_moments, transfer_series)
 from .parasitics import LineParasitics, extract_parasitics
 from .rlc_line import RLCLine
 from .series import PowerSeries
@@ -17,6 +17,7 @@ __all__ = [
     "RLCLine",
     "add_line_ladder",
     "PowerSeries",
+    "ladder_moments_batch",
     "admittance_series",
     "admittance_moments",
     "transfer_series",

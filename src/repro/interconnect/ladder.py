@@ -2,8 +2,9 @@
 
 Each segment is a symmetric pi section: half of the segment capacitance at each
 end, with the series resistance and inductance in between.  The admittance-moment
-code in :mod:`repro.interconnect.moments` walks exactly the same topology, so
-moment-based models and simulated ladders describe the same network.
+code in :mod:`repro.interconnect.moments` raises exactly this section's chain
+matrix to the ``n``-th power, so moment-based models and simulated ladders of the
+same segment count describe the same network.
 """
 
 from __future__ import annotations

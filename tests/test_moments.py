@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ladder_oracle import moment_scale, walk_ladder
 from repro.errors import ModelingError
 from repro.interconnect import (RLCLine, admittance_moments, admittance_series,
                                 elmore_delay, transfer_moments, transfer_series)
+from repro.interconnect.moments import ladder_moments_batch
 from repro.units import mm, nH, pF
 
 
@@ -103,3 +107,68 @@ class TestTransferMoments:
         series = transfer_series(line, 0.0, order=4)
         # H(s) = 1 - s*T_D + s^2*(...) : the first moment must be negative.
         assert series.coefficient(1) < 0.0
+
+
+def log_uniform(low, high):
+    return st.floats(min_value=np.log10(low), max_value=np.log10(high)).map(
+        lambda exponent: 10.0 ** exponent)
+
+
+lines = st.builds(RLCLine, resistance=log_uniform(1e-2, 1e4),
+                  inductance=log_uniform(1e-14, 1e-7),
+                  capacitance=log_uniform(1e-15, 1e-10))
+loads = st.one_of(st.just(0.0), log_uniform(1e-17, 1e-11))
+segment_counts = st.sampled_from([1, 2, 3, 600, 1199])
+
+
+class TestChainMatrixAgainstWalk:
+    """The chain-matrix power against the segment-by-segment walk oracle.
+
+    Moments of mixed sign can cancel almost completely (an RLC line's m3 passes
+    through zero where ``L`` balances ``R^2 C``), so "relative" is taken against
+    :func:`ladder_oracle.moment_scale`: the same terms summed with every sign
+    positive, which bounds ``|m_k|`` and equals it to within a small factor away
+    from such cancellation.
+    """
+
+    @staticmethod
+    def assert_close(computed, oracle, scale):
+        assert np.all(np.abs(oracle) <= scale * (1.0 + 1e-9))
+        assert np.all(np.abs(computed[1:] - oracle[1:]) <= 1e-11 * scale[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(line=lines, load=loads, n_segments=segment_counts,
+           order=st.integers(min_value=2, max_value=10))
+    def test_moments_match_walk(self, line, load, n_segments, order):
+        admittance, transfer = ladder_moments_batch([line], [load], order=order,
+                                                    n_segments=n_segments)
+        walked_y, walked_h = walk_ladder(line, load, order, n_segments)
+        scale_y, scale_h = moment_scale(line, load, order, n_segments)
+        self.assert_close(admittance[0], walked_y.coefficients, scale_y)
+        self.assert_close(transfer[0], walked_h.coefficients, scale_h)
+
+    @settings(max_examples=20, deadline=None)
+    @given(lanes=st.lists(st.tuples(lines, loads, segment_counts), min_size=1,
+                          max_size=6),
+           order=st.integers(min_value=2, max_value=10))
+    def test_batch_lanes_are_bit_identical_to_one_lane_calls(self, lanes, order):
+        batch_y, batch_h = ladder_moments_batch(
+            [line for line, _, _ in lanes], [load for _, load, _ in lanes],
+            order=order, n_segments=[n for _, _, n in lanes])
+        for k, (line, load, n) in enumerate(lanes):
+            assert np.array_equal(batch_y[k], admittance_moments(
+                line, load, order=order, n_segments=n))
+            assert np.array_equal(batch_h[k], transfer_moments(
+                line, load, order=order, n_segments=n))
+
+    def test_distributed_default_and_validation(self, line):
+        admittance, _ = ladder_moments_batch([line, line], [0.0, 1e-14],
+                                             n_segments=[None, 600])
+        assert np.array_equal(admittance[0], admittance_moments(line, 0.0))
+        assert np.array_equal(admittance[1], admittance_moments(line, 1e-14))
+        with pytest.raises(ModelingError):
+            ladder_moments_batch([line], [0.0, 0.0])
+        with pytest.raises(ModelingError):
+            ladder_moments_batch([line, line], [0.0, -1e-15])
+        with pytest.raises(ModelingError):
+            ladder_moments_batch([line], [0.0], n_segments=[1, 2])

@@ -5,8 +5,10 @@ import pytest
 
 from repro.circuit import (Circuit, DCSource, PWLSource, RampSource, TransientOptions,
                            run_transient)
+from repro.circuit.transient import linear_source_kernel, linear_source_kernels
 from repro.errors import SimulationError
-from repro.units import ps
+from repro.interconnect import RLCLine, add_line_ladder
+from repro.units import mm, nH, pF, ps
 
 
 def rc_step_circuit(resistance=100.0, capacitance=1e-12, v_final=1.0):
@@ -180,3 +182,91 @@ class TestResultInterface:
         wave = result.waveform("in")
         assert wave.value_at(ps(40)) == pytest.approx(1.0, abs=1e-6)
         assert wave.value_at(ps(120)) == pytest.approx(0.25, abs=1e-6)
+
+
+VDD = 1.8
+
+
+def driven_ladder(source, line, segments, load):
+    circuit = Circuit()
+    circuit.voltage_source("near", "0", source, name="Vdrv")
+    add_line_ladder(circuit, line, "near", "far", n_segments=segments)
+    if load > 0:
+        circuit.capacitor("far", "0", load, name="Cload")
+    return circuit
+
+
+class TestLinearSourceKernels:
+    """Batched state-space kernels against the stepped transient."""
+
+    LANES = [  # (line, segments, far-end load, steps)
+        (RLCLine(20.0, nH(1.05), pF(0.22), mm(1)), 30, 0.0, 1500),
+        (RLCLine(60.0, nH(3.15), pF(0.66), mm(3)), 36, 2e-14, 2200),
+        (RLCLine(80.0, nH(4.2), pF(0.88), mm(4)), 7, 5e-15, 1),
+        (RLCLine(40.0, nH(2.1), pF(0.44), mm(2)), 1, 0.0, 400),
+        (RLCLine(150.0, nH(1.0), pF(0.5), mm(2)), 12, 1e-14, 900),
+    ]
+    EDGES = {"rise": [(0.0, 0.0), (ps(20), 0.0), (ps(70), VDD)],
+             "fall": [(0.0, VDD), (ps(10), VDD), (ps(40), 0.6), (ps(90), 0.0)]}
+
+    @pytest.mark.parametrize("method", ["trap", "be"])
+    def test_convolution_reproduces_stepped_far_node(self, method):
+        options = TransientOptions(dt=ps(0.2), method=method,
+                                   store_branch_currents=False)
+        kernels = linear_source_kernels(
+            [driven_ladder(DCSource(0.0), line, segments, load)
+             for line, segments, load, _ in self.LANES],
+            "Vdrv", [steps for *_, steps in self.LANES], options=options,
+            output_node="far")
+        for (line, segments, load, steps), kernel in zip(self.LANES, kernels):
+            assert kernel.shape == (steps + 1,) and kernel[0] == 0.0
+            for points in self.EDGES.values():
+                stepped = run_transient(
+                    driven_ladder(PWLSource(points), line, segments, load),
+                    steps * options.dt, options=options)
+                u = np.interp(stepped.times, [p[0] for p in points],
+                              [p[1] for p in points])
+                far = u[0] + np.convolve(u[1:] - u[0], kernel[1:])[:steps]
+                assert np.max(np.abs(far - stepped.voltage("far")[1:])) \
+                    <= 1e-12 * VDD
+
+    def test_lanes_are_bit_identical_to_one_circuit_kernels(self):
+        """A lane's kernel depends neither on its batch nor on its length."""
+        options = TransientOptions(dt=ps(0.2), store_branch_currents=False)
+        circuits = [driven_ladder(DCSource(0.0), line, segments, load)
+                    for line, segments, load, _ in self.LANES]
+        lanes = circuits + circuits[:2]
+        batch = linear_source_kernels(lanes, "Vdrv", [300, 250, 5, 120, 300, 40, 700],
+                                      options=options, output_node="far")
+        for circuit, kernel in zip(lanes, batch):
+            single = linear_source_kernel(circuit, "Vdrv", kernel.size - 1,
+                                          options=options, output_node="far")
+            assert np.array_equal(kernel, single)
+        shared = linear_source_kernels(circuits, "Vdrv", [260] * len(circuits),
+                                       options=options, output_node="far")
+        for kernel, longer in zip(shared, batch):
+            assert kernel.shape == (261,)
+            size = min(kernel.size, longer.size)
+            assert np.array_equal(kernel[:size], longer[:size])
+
+    def test_rejects_nonlinear_and_unknown_names(self, tech):
+        options = TransientOptions(dt=ps(0.2))
+        line = self.LANES[0][0]
+        with_mosfet = driven_ladder(DCSource(0.0), line, 4, 0.0)
+        with_mosfet.mosfet("far", "near", "0", tech.nmos, 1e-6)
+        with_current = driven_ladder(DCSource(0.0), line, 4, 0.0)
+        with_current.current_source("far", "0", 1e-6)
+        plain = driven_ladder(DCSource(0.0), line, 4, 0.0)
+        for circuit, source, node in ((with_mosfet, "Vdrv", "far"),
+                                      (with_current, "Vdrv", "far"),
+                                      (plain, "Vnone", "far"),
+                                      (plain, "Vdrv", "nowhere")):
+            with pytest.raises(SimulationError):
+                linear_source_kernels([plain, circuit], source, [10, 10],
+                                      options=options, output_node=node)
+        with pytest.raises(SimulationError):
+            linear_source_kernels([plain], "Vdrv", [0], options=options,
+                                  output_node="far")
+        with pytest.raises(SimulationError):
+            linear_source_kernels([plain], "Vdrv", [5, 5], options=options,
+                                  output_node="far")
