@@ -13,6 +13,7 @@ Three simple driver-output models serve as baselines for Table 1 and Figures 3/6
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ..characterization.cell import CellCharacterization
@@ -30,21 +31,9 @@ __all__ = ["single_ceff_model", "half_charge_ceff_model", "total_capacitance_mod
 
 def _forced_single_ramp_options(base: Optional[ModelingOptions],
                                 charge_fraction: float) -> ModelingOptions:
-    base = base if base is not None else ModelingOptions()
-    return ModelingOptions(
-        transition=base.transition,
-        admittance_order=base.admittance_order,
-        moment_segments=base.moment_segments,
-        ceff_rel_tol=base.ceff_rel_tol,
-        ceff_max_iterations=base.ceff_max_iterations,
-        ceff_damping=base.ceff_damping,
-        criteria=base.criteria,
-        plateau_correction=base.plateau_correction,
-        force_two_ramp=False,
-        force_single_ramp=True,
-        ceff_charge_fraction=charge_fraction,
-        reference_time=base.reference_time,
-    )
+    return replace(base if base is not None else ModelingOptions(),
+                   force_two_ramp=False, force_single_ramp=True,
+                   ceff_charge_fraction=charge_fraction)
 
 
 def single_ceff_model(cell: CellCharacterization, input_slew: float, line: RLCLine,

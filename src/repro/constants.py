@@ -23,6 +23,10 @@ CEFF_REL_TOL = 1e-4
 #: Default maximum number of Ceff fixed-point iterations.
 CEFF_MAX_ITERATIONS = 100
 
+#: Most fixed steps of one far-end simulation (a standard line takes ~1.4k; L -> 0
+#: shrinks the step with the time of flight and would ask for ~1e8).
+MAX_FAR_END_STEPS = 1_000_000
+
 #: Default Newton-Raphson voltage tolerance [V] for the circuit simulator.
 NEWTON_VTOL = 1e-6
 

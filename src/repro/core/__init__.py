@@ -1,15 +1,16 @@
-"""The paper's contribution: the effective-capacitance two-ramp driver output model."""
+"""The paper's contribution: the effective-capacitance two-ramp driver output model.
+Every entry point runs the array-batched flow; the scalar oracle behind
+:func:`solve_stage` lives in :mod:`repro.core.scalar_oracle` and is not exported.
+"""
 
-from .ceff import (AdmittanceBatch, ceff_first_ramp, ceff_first_ramp_batch,
-                   ceff_second_ramp, ceff_second_ramp_batch, ramp_charge,
-                   ramp_current)
+from .ceff import AdmittanceBatch, ceff_first_ramp_batch, ceff_second_ramp_batch
 from .criteria import (CriteriaThresholds, CriterionCheck, InductanceReport,
                        evaluate_inductance_criteria)
 from .driver_model import (DriverOutputModel, ModelingOptions, model_driver_output,
                            model_driver_output_batch)
 from .far_end import (FarEndResponse, far_end_response, far_end_response_batch,
                       simulate_source_through_line)
-from .iteration import CeffIterationResult, iterate_ceff1, iterate_ceff2
+from .iteration import CeffIterationResult, iterate_ceff1
 from .plateau import modified_second_ramp_time, plateau_duration
 from .stage_solver import (SolverStats, StageRequest, StageSolution,
                            StageSolutionStore, StageSolver,
@@ -21,15 +22,10 @@ __all__ = [
     "voltage_breakpoint",
     "TwoRampWaveform",
     "AdmittanceBatch",
-    "ceff_first_ramp",
     "ceff_first_ramp_batch",
-    "ceff_second_ramp",
     "ceff_second_ramp_batch",
-    "ramp_charge",
-    "ramp_current",
     "CeffIterationResult",
     "iterate_ceff1",
-    "iterate_ceff2",
     "CriteriaThresholds",
     "CriterionCheck",
     "InductanceReport",

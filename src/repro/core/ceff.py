@@ -10,7 +10,8 @@ The paper derives separate closed forms for real poles (Eqs. 4 and 6) and comple
 poles (Eqs. 5 and 7).  Here a single implementation performs the partial-fraction
 expansion with complex arithmetic, which covers both cases (the imaginary parts of
 conjugate pole pairs cancel in the final sum), plus the degenerate lower-order
-denominators produced by RC pi-loads and single capacitors.
+denominators produced by RC pi-loads and single capacitors.  The kernels are
+array-valued; :mod:`repro.core.scalar_oracle` keeps the scalar ones.
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ import numpy as np
 from ..errors import ModelingError
 from ..interconnect.admittance import RationalAdmittance
 
-__all__ = [
-    "AdmittanceBatch",
-    "ceff_first_ramp",
-    "ceff_first_ramp_batch",
-    "ceff_second_ramp",
-    "ceff_second_ramp_batch",
-    "ramp_current",
-    "ramp_charge",
-]
+__all__ = ["AdmittanceBatch", "ceff_first_ramp_batch", "ceff_second_ramp_batch"]
 
 
 def _numerator_at(adm: RationalAdmittance, s: complex) -> complex:
@@ -72,70 +65,14 @@ def _impulse_charge_per_volt(adm: RationalAdmittance) -> float:
     return adm.a2
 
 
-def ramp_current(adm: RationalAdmittance, ramp_time: float, times: np.ndarray, *,
-                 vdd: float = 1.0) -> np.ndarray:
-    """Current drawn from an un-saturated ramp ``v(t) = vdd * t / ramp_time``.
-
-    This is the inverse Laplace transform of ``Y(s) * vdd / (ramp_time * s^2)`` for
-    ``t > 0`` (impulse terms at ``t = 0`` are not represented in the sampled output).
-    Useful for visualization and as an independent check of the charge expressions.
-    """
-    if ramp_time <= 0:
-        raise ModelingError("ramp time must be positive")
-    t = np.asarray(times, dtype=float)
-    current = np.full(t.shape, adm.a1, dtype=complex)
-    for pole, residue in _pole_terms(adm):
-        current = current + (residue / pole) * np.exp(pole * t)
-    return (vdd / ramp_time) * current.real
-
-
-def ramp_charge(adm: RationalAdmittance, ramp_time: float, t_from: float, t_to: float, *,
-                vdd: float = 1.0) -> float:
-    """Charge drawn from the un-saturated ramp between ``t_from`` and ``t_to``.
-
-    Integrates the partial-fraction form analytically; includes the impulse charge
-    when the interval starts at (or before) zero.
-    """
-    if ramp_time <= 0:
-        raise ModelingError("ramp time must be positive")
-    if t_to < t_from:
-        raise ModelingError("t_to must not precede t_from")
-    charge = complex(adm.a1 * (t_to - t_from))
-    for pole, residue in _pole_terms(adm):
-        charge += (residue / (pole * pole)) * (np.exp(pole * t_to) - np.exp(pole * t_from))
-    result = charge.real
-    if t_from <= 0.0:
-        result += _impulse_charge_per_volt(adm)
-    return vdd / ramp_time * result
-
-
-def ceff_first_ramp(adm: RationalAdmittance, tr1: float, breakpoint_fraction: float, *,
-                    vdd: float = 1.0) -> float:
-    """Effective capacitance of the first ramp (paper Eqs. 4/5).
-
-    The driver output is the ramp ``v(t) = Vdd * t / tr1``; charge drawn by the load
-    over ``[0, f * tr1]`` is equated with ``Ceff1 * f * Vdd``.  With ``f = 1`` this is
-    also the paper's single effective capacitance for non-inductive loads, and with
-    ``f = 0.5`` the "equate charge up to the 50% point" variant of Figure 3.
-    """
-    if not 0.0 < breakpoint_fraction <= 1.0:
-        raise ModelingError("breakpoint fraction must be in (0, 1]")
-    if tr1 <= 0:
-        raise ModelingError("tr1 must be positive")
-    f = breakpoint_fraction
-    window_end = f * tr1
-    charge = ramp_charge(adm, tr1, 0.0, window_end, vdd=vdd)
-    return charge / (f * vdd)
-
-
 @dataclass(frozen=True)
 class AdmittanceBatch:
     """Pole/residue data of many admittances, padded to a fixed pole count.
 
     Lanes with fewer than two poles are padded with ``(pole=1, residue=0)`` pairs,
     whose contribution to every charge expression is exactly ``0.0`` — the batched
-    kernels therefore accumulate pole terms in the same order as the scalar loop
-    over :func:`_pole_terms`.  Charges agree with the scalar kernels to complex
+    kernels therefore accumulate pole terms in the same order as the scalar
+    oracle's loop over :func:`_pole_terms`.  Charges agree with the oracle to complex
     roundoff (NumPy's vectorized complex multiply may round the last bit
     differently than its scalar path), orders of magnitude inside the 1e-9
     relative equivalence gate.
@@ -175,13 +112,13 @@ class AdmittanceBatch:
 def ceff_first_ramp_batch(batch: AdmittanceBatch, tr1: np.ndarray,
                           breakpoint_fraction: np.ndarray, *,
                           vdd: np.ndarray) -> np.ndarray:
-    """Array-valued :func:`ceff_first_ramp`: one lane per admittance.
+    """Ceff1 of paper Eqs. 4/5 (charge over ``[0, f*tr1]``), one lane per admittance.
 
-    Follows the scalar computation operation for operation (the ``a1`` ramp term,
+    Follows the scalar oracle operation for operation (the ``a1`` ramp term,
     then each pole term in :func:`_pole_terms` order, the real part, the impulse
     charge for the ``t_from = 0`` window, the ``vdd / tr1`` scaling and the final
-    charge balance); each lane matches its scalar counterpart to within a unit in
-    the last place (see :class:`AdmittanceBatch`).
+    charge balance); each lane matches it to within a unit in the last place
+    (see :class:`AdmittanceBatch`).
     """
     tr1 = np.asarray(tr1, dtype=float)
     f = np.asarray(breakpoint_fraction, dtype=float)
@@ -204,7 +141,7 @@ def ceff_first_ramp_batch(batch: AdmittanceBatch, tr1: np.ndarray,
 def ceff_second_ramp_batch(batch: AdmittanceBatch, tr1: np.ndarray, tr2: np.ndarray,
                            breakpoint_fraction: np.ndarray, *,
                            vdd: np.ndarray) -> np.ndarray:
-    """Array-valued :func:`ceff_second_ramp`, lane-by-lane to complex roundoff."""
+    """Ceff2 of paper Eqs. 6/7, one lane per admittance, to complex roundoff."""
     tr1 = np.asarray(tr1, dtype=float)
     tr2 = np.asarray(tr2, dtype=float)
     f = np.asarray(breakpoint_fraction, dtype=float)
@@ -224,31 +161,3 @@ def ceff_second_ramp_batch(batch: AdmittanceBatch, tr1: np.ndarray, tr2: np.ndar
         charge = charge + (residue / (tr2 * pole * pole)
                            + k_step * f * residue / pole) * exp_span
     return vdd * charge.real / ((1.0 - f) * vdd)
-
-
-def ceff_second_ramp(adm: RationalAdmittance, tr1: float, tr2: float,
-                     breakpoint_fraction: float, *, vdd: float = 1.0) -> float:
-    """Effective capacitance of the second ramp (paper Eqs. 6/7).
-
-    Following the paper, the second portion of the two-ramp waveform is extended
-    back to ``t = 0`` as ``v(t) = Vdd * t / tr2 + k * f * Vdd`` with
-    ``k = 1 - tr1 / tr2``; the load current of that stimulus is integrated over the
-    second ramp's transition window ``[f*tr1, f*tr1 + (1-f)*tr2]`` and equated with
-    ``Ceff2 * (1 - f) * Vdd``.
-    """
-    if not 0.0 < breakpoint_fraction < 1.0:
-        raise ModelingError("the second ramp requires a breakpoint fraction below 1")
-    if tr1 <= 0 or tr2 <= 0:
-        raise ModelingError("ramp times must be positive")
-    f = breakpoint_fraction
-    k = 1.0 - tr1 / tr2
-    t_from = f * tr1
-    t_to = f * tr1 + (1.0 - f) * tr2
-
-    # Ramp part of the stimulus: Vdd/(tr2 * s^2).
-    charge = complex(adm.a1 * (t_to - t_from) / tr2)
-    for pole, residue in _pole_terms(adm):
-        exp_span = np.exp(pole * t_to) - np.exp(pole * t_from)
-        # Ramp contribution: residue / (tr2 * s^2); step contribution: k*f*residue / s.
-        charge += (residue / (tr2 * pole * pole) + k * f * residue / pole) * exp_span
-    return float(vdd * charge.real / ((1.0 - f) * vdd))

@@ -27,12 +27,11 @@ from ..constants import (CEFF_MAX_ITERATIONS, CEFF_REL_TOL, SLEW_HIGH_THRESHOLD,
                          SLEW_LOW_THRESHOLD)
 from ..errors import ModelingError
 from ..interconnect.admittance import RationalAdmittance, fit_rational_admittance
-from ..interconnect.moments import admittance_moments, ladder_moments_batch
+from ..interconnect.moments import ladder_moments_batch
 from ..interconnect.rlc_line import RLCLine
 from .ceff import AdmittanceBatch, ceff_first_ramp_batch, ceff_second_ramp_batch
 from .criteria import CriteriaThresholds, InductanceReport, evaluate_inductance_criteria
-from .iteration import (CeffIterationResult, _fixed_point_batch, iterate_ceff1,
-                        iterate_ceff2)
+from .iteration import CeffIterationResult, _fixed_point_batch
 from .plateau import modified_second_ramp_time, plateau_duration
 from .two_ramp import TwoRampWaveform, voltage_breakpoint
 
@@ -163,98 +162,15 @@ class DriverOutputModel:
         return "\n".join(lines)
 
 
-def _admittance_for(line: RLCLine, load_capacitance: float,
-                    options: ModelingOptions) -> RationalAdmittance:
-    moments = admittance_moments(line, load_capacitance, order=options.admittance_order,
-                                 n_segments=options.moment_segments)
-    return fit_rational_admittance(moments)
-
-
 def model_driver_output(cell: CellCharacterization, input_slew: float, line: RLCLine,
                         load_capacitance: float = 0.0, *,
                         options: Optional[ModelingOptions] = None) -> DriverOutputModel:
-    """Run the paper's full modeling flow for one driver / line / load combination."""
-    options = options if options is not None else ModelingOptions()
-    if input_slew <= 0:
-        raise ModelingError("input slew must be positive")
-    if load_capacitance < 0:
-        raise ModelingError("load capacitance must be non-negative")
+    """Run the paper's full modeling flow for one driver / line / load combination.
 
-    transition = options.transition
-    vdd = cell.vdd
-    admittance = _admittance_for(line, load_capacitance, options)
-    total_capacitance = admittance.total_capacitance
-    z0 = line.characteristic_impedance
-    tf = line.time_of_flight
-
-    # Step 2: driver resistance at the total capacitance, breakpoint fraction (Eq. 1).
-    driver_resistance = cell.driver_resistance(input_slew, total_capacitance,
-                                               transition=transition)
-    breakpoint = voltage_breakpoint(driver_resistance, z0)
-
-    # Step 3: Ceff1 iterations.  For the single-ramp flow the charge window fraction
-    # is the configured one (1.0 matches the paper; 0.5 reproduces Figure 3's variant).
-    ceff1_fraction = breakpoint if not options.force_single_ramp else options.ceff_charge_fraction
-    ceff1_result = iterate_ceff1(cell, input_slew, admittance, ceff1_fraction,
-                                 transition=transition, vdd=vdd,
-                                 rel_tol=options.ceff_rel_tol,
-                                 max_iterations=options.ceff_max_iterations,
-                                 damping=options.ceff_damping)
-
-    # Step 4: inductance screening with the initial ramp time.
-    report = evaluate_inductance_criteria(line, load_capacitance, driver_resistance,
-                                          ceff1_result.ramp_time,
-                                          thresholds=options.criteria)
-    use_two_ramp = report.significant
-    if options.force_two_ramp:
-        use_two_ramp = True
-    if options.force_single_ramp:
-        use_two_ramp = False
-
-    if use_two_ramp:
-        tr1 = ceff1_result.ramp_time
-        ceff2_result = iterate_ceff2(cell, input_slew, admittance, breakpoint, tr1,
-                                     transition=transition, vdd=vdd,
-                                     rel_tol=options.ceff_rel_tol,
-                                     max_iterations=options.ceff_max_iterations,
-                                     damping=options.ceff_damping)
-        tr2 = ceff2_result.ramp_time
-        plateau = plateau_duration(tr1, tf)
-        tr2_effective = (modified_second_ramp_time(tr1, tr2, breakpoint, tf)
-                         if options.plateau_correction else tr2)
-        gate_delay = cell.delay(input_slew, ceff1_result.ceff, transition=transition)
-        return DriverOutputModel(
-            kind="two-ramp", transition=transition, vdd=vdd, cell_name=cell.cell_name,
-            input_slew=input_slew, line=line, load_capacitance=load_capacitance,
-            admittance=admittance, driver_resistance=driver_resistance,
-            characteristic_impedance=z0, time_of_flight=tf,
-            breakpoint_fraction=breakpoint, ceff1=ceff1_result.ceff, tr1=tr1,
-            ceff2=ceff2_result.ceff, tr2=tr2, tr2_effective=tr2_effective,
-            plateau=plateau, gate_delay=gate_delay, inductance_report=report,
-            ceff1_iteration=ceff1_result, ceff2_iteration=ceff2_result,
-            reference_time=options.reference_time)
-
-    # Single-ramp branch: a single effective capacitance over the whole transition.
-    if ceff1_fraction != options.ceff_charge_fraction or not options.force_single_ramp:
-        single_result = iterate_ceff1(cell, input_slew, admittance,
-                                      options.ceff_charge_fraction,
-                                      transition=transition, vdd=vdd,
-                                      rel_tol=options.ceff_rel_tol,
-                                      max_iterations=options.ceff_max_iterations,
-                                      damping=options.ceff_damping)
-    else:
-        single_result = ceff1_result
-    gate_delay = cell.delay(input_slew, single_result.ceff, transition=transition)
-    return DriverOutputModel(
-        kind="single-ramp", transition=transition, vdd=vdd, cell_name=cell.cell_name,
-        input_slew=input_slew, line=line, load_capacitance=load_capacitance,
-        admittance=admittance, driver_resistance=driver_resistance,
-        characteristic_impedance=z0, time_of_flight=tf,
-        breakpoint_fraction=breakpoint, ceff1=single_result.ceff,
-        tr1=single_result.ramp_time, ceff2=None, tr2=None, tr2_effective=None,
-        plateau=0.0, gate_delay=gate_delay, inductance_report=report,
-        ceff1_iteration=single_result, ceff2_iteration=None,
-        reference_time=options.reference_time)
+    The one-lane case of :func:`model_driver_output_batch`, bit for bit.
+    """
+    return model_driver_output_batch(
+        [(cell, input_slew, line, load_capacitance, options)])[0]
 
 
 #: One batched modeling request: (cell, input_slew, line, load_capacitance, options).
@@ -274,7 +190,8 @@ def model_driver_output_batch(
         ) -> List[DriverOutputModel]:
     """Run the modeling flow for many stages as one array-valued computation.
 
-    Each request lane replays :func:`model_driver_output` with the same arithmetic
+    Each request lane replays the scalar oracle
+    (:func:`repro.core.scalar_oracle.model_driver_output`) with the same arithmetic
     in the same order — vectorized table lookups, array-valued charge matching and
     a masked batch fixed point — so the returned models match the scalar flow lane
     by lane to complex roundoff (~1 ulp, from NumPy's vectorized complex multiply;
@@ -282,7 +199,8 @@ def model_driver_output_batch(
     1e-9 relative equivalence gate.  Identical (line, load, admittance options) lanes
     share one moment computation, and all missing moments of one order come from a
     single :func:`~repro.interconnect.moments.ladder_moments_batch` call, whose
-    lanes are bit-identical to the scalar :func:`admittance_moments`;
+    lanes are bit-identical to the one-lane
+    :func:`~repro.interconnect.moments.admittance_moments`;
     ``admittance_cache`` extends that dedupe across batches (the mapping is read
     and updated in place).
     """
@@ -363,15 +281,22 @@ def model_driver_output_batch(
         [breakpoints[lane] if not resolved[lane][4].force_single_ramp
          else resolved[lane][4].ceff_charge_fraction for lane in range(n)],
         dtype=float)
+    charge_fractions = np.array([req[4].ceff_charge_fraction for req in resolved],
+                                dtype=float)
     adm_batch = AdmittanceBatch.from_admittances(admittances)
 
-    def ceff1_of_ramp(ramps: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return ceff_first_ramp_batch(adm_batch.take(lanes), ramps,
-                                     fractions[lanes], vdd=vdds[lanes])
+    def fixed_points(lanes: Sequence[int], ceff_of_ramp
+                     ) -> Dict[int, CeffIterationResult]:
+        """Masked fixed point over ``lanes``; callbacks see batch lane indices."""
+        sub = np.asarray(lanes, dtype=int)
+        return dict(zip(lanes, _fixed_point_batch(
+            totals[sub], lambda ramps, active: ceff_of_ramp(ramps, sub[active]),
+            lambda loads, active: ramp_of_load(loads, sub[active]),
+            rel_tol=rel_tols[sub], max_iterations=iter_limits[sub],
+            damping=dampings[sub], require_convergence=False)))
 
-    ceff1_results = _fixed_point_batch(
-        totals, ceff1_of_ramp, ramp_of_load, rel_tol=rel_tols,
-        max_iterations=iter_limits, damping=dampings, require_convergence=False)
+    ceff1_results = fixed_points(range(n), lambda ramps, lanes: ceff_first_ramp_batch(
+        adm_batch.take(lanes), ramps, fractions[lanes], vdd=vdds[lanes]))
 
     # Inductance screening (Eq. 9) is a handful of scalar ratio checks per lane.
     reports: List[InductanceReport] = []
@@ -381,69 +306,29 @@ def model_driver_output_batch(
             line, load_capacitance, float(resistances[lane]),
             ceff1_results[lane].ramp_time, thresholds=options.criteria)
         reports.append(report)
-        use_two_ramp = report.significant
-        if options.force_two_ramp:
-            use_two_ramp = True
-        if options.force_single_ramp:
-            use_two_ramp = False
-        if use_two_ramp:
-            two_ramp_lanes.append(lane)
-
-    ceff2_results: Dict[int, CeffIterationResult] = {}
-    if two_ramp_lanes:
-        sub = np.asarray(two_ramp_lanes, dtype=int)
-        for lane in two_ramp_lanes:
+        if not options.force_single_ramp and (options.force_two_ramp
+                                              or report.significant):
             if not 0.0 < breakpoints[lane] < 1.0:
                 raise ModelingError(
                     "Ceff2 requires a breakpoint fraction strictly below 1")
-            if ceff1_results[lane].ramp_time <= 0:
-                raise ModelingError("tr1 must be positive")
-        tr1_sub = np.array([ceff1_results[lane].ramp_time for lane in two_ramp_lanes],
-                           dtype=float)
+            two_ramp_lanes.append(lane)
 
-        def ceff2_of_ramp(ramps: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            chosen = sub[lanes]
-            return ceff_second_ramp_batch(adm_batch.take(chosen), tr1_sub[lanes],
-                                          ramps, breakpoints[chosen],
-                                          vdd=vdds[chosen])
-
-        def ramp2_of_load(loads: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            return ramp_of_load(loads, sub[lanes])
-
-        for lane, result in zip(two_ramp_lanes, _fixed_point_batch(
-                totals[sub], ceff2_of_ramp, ramp2_of_load, rel_tol=rel_tols[sub],
-                max_iterations=iter_limits[sub], damping=dampings[sub],
-                require_convergence=False)):
-            ceff2_results[lane] = result
+    tr1s = np.array([ceff1_results[lane].ramp_time for lane in range(n)], dtype=float)
+    ceff2_results = fixed_points(
+        two_ramp_lanes, lambda ramps, lanes: ceff_second_ramp_batch(
+            adm_batch.take(lanes), tr1s[lanes], ramps, breakpoints[lanes],
+            vdd=vdds[lanes]))
 
     # Single-ramp lanes re-iterate at the configured charge fraction exactly when
     # the scalar flow would (the forced-single fast path reuses the Ceff1 result).
-    single_results: Dict[int, CeffIterationResult] = {}
     rerun_lanes = [lane for lane in range(n) if lane not in ceff2_results
-                   and (fractions[lane] != resolved[lane][4].ceff_charge_fraction
+                   and (fractions[lane] != charge_fractions[lane]
                         or not resolved[lane][4].force_single_ramp)]
-    for lane in range(n):
-        if lane not in ceff2_results and lane not in rerun_lanes:
-            single_results[lane] = ceff1_results[lane]
-    if rerun_lanes:
-        sub = np.asarray(rerun_lanes, dtype=int)
-        charge_fractions = np.array(
-            [resolved[lane][4].ceff_charge_fraction for lane in rerun_lanes],
-            dtype=float)
-
-        def single_of_ramp(ramps: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            chosen = sub[lanes]
-            return ceff_first_ramp_batch(adm_batch.take(chosen), ramps,
-                                         charge_fractions[lanes], vdd=vdds[chosen])
-
-        def ramp1_of_load(loads: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            return ramp_of_load(loads, sub[lanes])
-
-        for lane, result in zip(rerun_lanes, _fixed_point_batch(
-                totals[sub], single_of_ramp, ramp1_of_load, rel_tol=rel_tols[sub],
-                max_iterations=iter_limits[sub], damping=dampings[sub],
-                require_convergence=False)):
-            single_results[lane] = result
+    single_results = {lane: ceff1_results[lane] for lane in range(n)
+                      if lane not in ceff2_results}
+    single_results.update(fixed_points(
+        rerun_lanes, lambda ramps, lanes: ceff_first_ramp_batch(
+            adm_batch.take(lanes), ramps, charge_fractions[lanes], vdd=vdds[lanes])))
 
     gate_loads = np.array(
         [ceff1_results[lane].ceff if lane in ceff2_results

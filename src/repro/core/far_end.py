@@ -19,7 +19,7 @@ from ..analysis.waveform import Waveform
 from ..circuit.netlist import Circuit
 from ..circuit.sources import DCSource, PWLSource, SourceFunction
 from ..circuit.transient import TransientOptions, linear_source_kernels, run_transient
-from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
+from ..constants import MAX_FAR_END_STEPS, SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..errors import ModelingError, SimulationError
 from ..interconnect.ladder import add_line_ladder
 from ..interconnect.rlc_line import RLCLine
@@ -73,6 +73,16 @@ def _line_circuit(name: str, source: SourceFunction, line: RLCLine,
     return circuit
 
 
+def _step_count(t_stop: float, dt: float) -> int:
+    """Steps to ``t_stop``; over :data:`MAX_FAR_END_STEPS` (or a 0/NaN step) raises."""
+    if not t_stop <= MAX_FAR_END_STEPS * dt:
+        raise ModelingError(
+            f"far-end simulation needs more than {MAX_FAR_END_STEPS} steps of "
+            f"{dt:.3g} s to reach {t_stop:.3g} s; the line's time of flight is "
+            "too short for its fixed step")
+    return int(round(t_stop / dt))
+
+
 def simulate_source_through_line(source: SourceFunction, line: RLCLine,
                                  load_capacitance: float, *, vdd: float,
                                  t_stop: float, dt: Optional[float] = None,
@@ -86,6 +96,7 @@ def simulate_source_through_line(source: SourceFunction, line: RLCLine,
         raise ModelingError("t_stop must be positive")
     segments = n_segments if n_segments is not None else line.recommended_segments()
     step = dt if dt is not None else min(ps(0.2), line.time_of_flight / max(segments, 1))
+    _step_count(t_stop, step)
     circuit = _line_circuit("far_end_validation", source, line, load_capacitance,
                             segments)
     result = run_transient(circuit, t_stop,
@@ -130,7 +141,7 @@ def far_end_response_batch(models: Sequence[DriverOutputModel], *,
             raise ModelingError("t_stop must be positive")
         segments = model.line.recommended_segments()
         dt = min(ps(0.2), model.line.time_of_flight / max(segments, 1))
-        n_steps = int(round(end / dt))
+        n_steps = _step_count(end, dt)
         if n_steps < 1:
             raise SimulationError("t_stop is shorter than one time step")
         key = (model.line.fingerprint(), float(model.load_capacitance).hex(),

@@ -17,9 +17,9 @@ from ..characterization.cell import CellCharacterization
 from ..constants import CEFF_MAX_ITERATIONS, CEFF_REL_TOL
 from ..errors import ConvergenceError, ModelingError
 from ..interconnect.admittance import RationalAdmittance
-from .ceff import ceff_first_ramp, ceff_second_ramp
+from .ceff import AdmittanceBatch, ceff_first_ramp_batch
 
-__all__ = ["CeffIterationResult", "iterate_ceff1", "iterate_ceff2"]
+__all__ = ["CeffIterationResult", "iterate_ceff1"]
 
 
 @dataclass(frozen=True)
@@ -33,56 +33,13 @@ class CeffIterationResult:
     history: List[float] = field(default_factory=list)  #: Ceff value per iteration
 
 
-def _fixed_point(total_capacitance: float,
-                 ceff_of_ramp: Callable[[float], float],
-                 ramp_of_load: Callable[[float], float], *,
-                 rel_tol: float, max_iterations: int, damping: float,
-                 require_convergence: bool) -> CeffIterationResult:
-    """Damped fixed-point iteration shared by the Ceff1 and Ceff2 flows."""
-    if total_capacitance <= 0:
-        raise ModelingError("total capacitance must be positive")
-    floor = 0.01 * total_capacitance
-    ceiling = 2.0 * total_capacitance
-
-    # Each ramp_of_load call is a full table interpolation on the hot path, so the
-    # loop keeps ramp_time in lock-step with ceff: one lookup per iteration (plus
-    # the initial guess), and the converged (ceff, ramp_time) pair leaves the loop
-    # together with no extra lookup at the end.
-    ceff = total_capacitance
-    history: List[float] = [ceff]
-    ramp_time = ramp_of_load(ceff)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        if ramp_time <= 0:
-            raise ModelingError("cell table produced a non-positive ramp time")
-        proposal = ceff_of_ramp(ramp_time)
-        proposal = min(max(proposal, floor), ceiling)
-        new_ceff = damping * proposal + (1.0 - damping) * ceff
-        history.append(new_ceff)
-        done = abs(new_ceff - ceff) <= rel_tol * total_capacitance
-        ceff = new_ceff
-        ramp_time = ramp_of_load(ceff)
-        if done:
-            converged = True
-            break
-    if ramp_time <= 0:
-        raise ModelingError("cell table produced a non-positive ramp time")
-    if not converged and require_convergence:
-        raise ConvergenceError(
-            f"Ceff iteration did not converge within {max_iterations} iterations",
-            iterations=max_iterations, last_value=ceff)
-    return CeffIterationResult(ceff=ceff, ramp_time=ramp_time, iterations=iterations,
-                               converged=converged, history=history)
-
-
 def _fixed_point_batch(total_capacitance: np.ndarray,
                        ceff_of_ramp: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        ramp_of_load: Callable[[np.ndarray, np.ndarray], np.ndarray], *,
                        rel_tol: np.ndarray, max_iterations: np.ndarray,
                        damping: np.ndarray,
                        require_convergence: bool) -> List[CeffIterationResult]:
-    """Masked batch version of :func:`_fixed_point`: one lane per stage config.
+    """Damped fixed-point iteration of the Ceff1 and Ceff2 flows, one lane per stage.
 
     ``ceff_of_ramp`` / ``ramp_of_load`` receive ``(values, lane_indices)`` — the
     values of the still-active lanes plus their positions in the batch — so callers
@@ -92,7 +49,8 @@ def _fixed_point_batch(total_capacitance: np.ndarray,
     scalars or per-lane arrays.  Every lane replays the scalar iteration's exact
     arithmetic (same clamp, damping and convergence-test operations in the same
     order), so the returned per-lane results — including iteration counts and
-    histories — are bit-identical to running :func:`_fixed_point` lane by lane.
+    histories — are bit-identical to running the scalar oracle's
+    :func:`~repro.core.scalar_oracle._fixed_point` lane by lane.
 
     Errors carry lane attribution: a non-positive ramp time raises
     :class:`ModelingError` and, with ``require_convergence``, a straggler raises
@@ -160,43 +118,22 @@ def iterate_ceff1(cell: CellCharacterization, input_slew: float,
                   rel_tol: float = CEFF_REL_TOL,
                   max_iterations: int = CEFF_MAX_ITERATIONS, damping: float = 0.5,
                   require_convergence: bool = False) -> CeffIterationResult:
-    """Ceff1 fixed point (paper Section 4.1).
+    """Ceff1 fixed point (paper Section 4.1): one lane of :func:`_fixed_point_batch`.
 
     With ``breakpoint_fraction = 1`` this computes the paper's single effective
     capacitance for non-inductive loads.
     """
     supply = vdd if vdd is not None else cell.vdd
+    batch = AdmittanceBatch.from_admittances([admittance])
+    slew = np.array([input_slew], dtype=float)
 
-    def ceff_of_ramp(tr1: float) -> float:
-        return ceff_first_ramp(admittance, tr1, breakpoint_fraction, vdd=supply)
+    def ceff_of_ramp(ramps: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return ceff_first_ramp_batch(batch, ramps, breakpoint_fraction, vdd=supply)
 
-    def ramp_of_load(load: float) -> float:
-        return cell.ramp_time(input_slew, load, transition=transition)
+    def ramp_of_load(loads: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return cell.ramp_time_many(slew[lanes], loads, transition=transition)
 
-    return _fixed_point(admittance.total_capacitance, ceff_of_ramp, ramp_of_load,
-                        rel_tol=rel_tol, max_iterations=max_iterations, damping=damping,
-                        require_convergence=require_convergence)
-
-
-def iterate_ceff2(cell: CellCharacterization, input_slew: float,
-                  admittance: RationalAdmittance, breakpoint_fraction: float,
-                  tr1: float, *, transition: str = "rise", vdd: float | None = None,
-                  rel_tol: float = CEFF_REL_TOL,
-                  max_iterations: int = CEFF_MAX_ITERATIONS, damping: float = 0.5,
-                  require_convergence: bool = False) -> CeffIterationResult:
-    """Ceff2 fixed point (paper Section 4.2), given the converged first-ramp time."""
-    if not 0.0 < breakpoint_fraction < 1.0:
-        raise ModelingError("Ceff2 requires a breakpoint fraction strictly below 1")
-    if tr1 <= 0:
-        raise ModelingError("tr1 must be positive")
-    supply = vdd if vdd is not None else cell.vdd
-
-    def ceff_of_ramp(tr2: float) -> float:
-        return ceff_second_ramp(admittance, tr1, tr2, breakpoint_fraction, vdd=supply)
-
-    def ramp_of_load(load: float) -> float:
-        return cell.ramp_time(input_slew, load, transition=transition)
-
-    return _fixed_point(admittance.total_capacitance, ceff_of_ramp, ramp_of_load,
-                        rel_tol=rel_tol, max_iterations=max_iterations, damping=damping,
-                        require_convergence=require_convergence)
+    return _fixed_point_batch(
+        np.array([admittance.total_capacitance]), ceff_of_ramp, ramp_of_load,
+        rel_tol=rel_tol, max_iterations=max_iterations, damping=damping,
+        require_convergence=require_convergence)[0]

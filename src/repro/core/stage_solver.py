@@ -5,7 +5,7 @@ breakpoint, Ceff1/Ceff2 fixed points, inductance screening, plateau correction,
 far-end propagation — for one (cell, input slew, line, load, options) combination.
 Inside a timing graph the same combination recurs constantly (repeated buffers on a
 bus, balanced clock-tree levels, retried what-if queries), so :class:`StageSolver`
-fronts the flow with two cache layers:
+fronts the array-batched flow (:func:`solve_stage_batch`) with two cache layers:
 
 * an in-process LRU memo holding complete :class:`StageSolution` objects
   (including the modeled waveform and the far-end response), and
@@ -15,9 +15,12 @@ fronts the flow with two cache layers:
 
 Keys are content fingerprints — :meth:`CellCharacterization.fingerprint`,
 :meth:`RLCLine.fingerprint`, exact ``float.hex`` encodings of slew/load and every
-:class:`ModelingOptions` field — so a hit is guaranteed to be bit-identical to a
-recompute.  An optional ``slew_quantum`` trades that exactness for hit rate by
-snapping input slews onto a uniform grid before solving.
+:class:`ModelingOptions` field.  A hit returns the solution computed for the
+first request with that key; a recompute agrees with it to ~1 ulp, since a
+batched lane's last bit can shift with the other lanes of its batch.  An
+optional ``slew_quantum`` trades exactness for hit rate by snapping input slews
+onto a uniform grid before solving.  :func:`solve_stage` is the scalar oracle
+(:mod:`repro.core.scalar_oracle`) behind the engine's ``memoize=False`` baseline.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from ..characterization.cell import CellCharacterization
 from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..errors import ModelingError
 from ..interconnect.rlc_line import RLCLine
-from .driver_model import (DriverOutputModel, ModelingOptions, model_driver_output,
-                           model_driver_output_batch)
+from .driver_model import DriverOutputModel, ModelingOptions, model_driver_output_batch
 from .far_end import FarEndResponse, far_end_response, far_end_response_batch
+from .scalar_oracle import model_driver_output
 
 __all__ = ["StageRequest", "StageSolution", "StageSolver", "StageSolutionStore",
            "SolverStats", "solve_stage", "solve_stage_batch", "stage_fingerprint",
@@ -136,6 +139,20 @@ class StageSolution:
         """True when the full model and far-end response are attached."""
         return self.model is not None and self.far_end is not None
 
+    @classmethod
+    def from_model(cls, fingerprint: str, model: DriverOutputModel,
+                   far: FarEndResponse, *, slew_low: float,
+                   slew_high: float) -> "StageSolution":
+        """Package a modeled stage and its far end, waveforms attached."""
+        far_slew = far.far_slew(low=slew_low, high=slew_high)
+        return cls(fingerprint=fingerprint, cell_name=model.cell_name, kind=model.kind,
+                   transition=model.transition, input_slew=model.input_slew,
+                   load_capacitance=model.load_capacitance, gate_delay=model.delay(),
+                   interconnect_delay=far.interconnect_delay(), far_slew=far_slew,
+                   propagated_slew=far_slew / (slew_high - slew_low),
+                   ceff1=model.ceff1, tr1=model.tr1, ceff2=model.ceff2,
+                   tr2_effective=model.tr2_effective, model=model, far_end=far)
+
     def lite(self) -> "StageSolution":
         """The scalar-only view (cheap to pickle, safe to persist)."""
         if not self.has_waveforms:
@@ -205,9 +222,9 @@ def solve_stage(cell: CellCharacterization, input_slew: float, line: RLCLine,
                 slew_low: float = SLEW_LOW_THRESHOLD,
                 slew_high: float = SLEW_HIGH_THRESHOLD,
                 fingerprint: Optional[str] = None) -> StageSolution:
-    """Run one full (uncached) stage solve and package it as a :class:`StageSolution`.
+    """Run one full (uncached) stage solve through the scalar oracle.
 
-    This is the pure unit of work that :class:`StageSolver` memoizes.
+    The independent reference for :func:`solve_stage_batch`.
     """
     options = options if options is not None else ModelingOptions()
     if fingerprint is None:
@@ -215,16 +232,8 @@ def solve_stage(cell: CellCharacterization, input_slew: float, line: RLCLine,
                                         options, slew_low=slew_low, slew_high=slew_high)
     model = model_driver_output(cell, input_slew, line, load_capacitance,
                                 options=options)
-    far = far_end_response(model)
-    far_slew = far.far_slew(low=slew_low, high=slew_high)
-    return StageSolution(
-        fingerprint=fingerprint, cell_name=cell.cell_name, kind=model.kind,
-        transition=model.transition, input_slew=input_slew,
-        load_capacitance=load_capacitance, gate_delay=model.delay(),
-        interconnect_delay=far.interconnect_delay(), far_slew=far_slew,
-        propagated_slew=far_slew / (slew_high - slew_low),
-        ceff1=model.ceff1, tr1=model.tr1, ceff2=model.ceff2,
-        tr2_effective=model.tr2_effective, model=model, far_end=far)
+    return StageSolution.from_model(fingerprint, model, far_end_response(model),
+                                    slew_low=slew_low, slew_high=slew_high)
 
 
 @dataclass(frozen=True)
@@ -256,10 +265,10 @@ def solve_stage_batch(requests: Sequence[StageRequest], *,
     :func:`~repro.core.driver_model.model_driver_output_batch` (vectorized table
     lookups, array charge matching, masked fixed points) and
     :func:`~repro.core.far_end.far_end_response_batch` (one impulse kernel per
-    unique circuit, convolution per lane), then is packaged exactly like the
-    scalar flow — waveforms attached.  Results match :func:`solve_stage` lane by
-    lane to floating-point roundoff, far inside the 1e-9 relative equivalence
-    gate the benchmarks enforce.  The two optional caches extend the batch's
+    unique circuit, convolution per lane), then is packaged like
+    :func:`solve_stage` — waveforms attached.  Results match :func:`solve_stage`
+    lane by lane to floating-point roundoff, far inside the 1e-9 relative
+    equivalence gate the benchmarks enforce.  The two optional caches extend the batch's
     internal admittance/kernel dedupe across calls.
     """
     if not requests:
@@ -280,19 +289,9 @@ def solve_stage_batch(requests: Sequence[StageRequest], *,
          for request, options, _ in resolved],
         admittance_cache=admittance_cache)
     fars = far_end_response_batch(models, kernel_cache=kernel_cache)
-    solutions: List[StageSolution] = []
-    for (request, options, fingerprint), model, far in zip(resolved, models, fars):
-        far_slew = far.far_slew(low=slew_low, high=slew_high)
-        solutions.append(StageSolution(
-            fingerprint=fingerprint, cell_name=request.cell.cell_name,
-            kind=model.kind, transition=model.transition,
-            input_slew=request.input_slew,
-            load_capacitance=request.load_capacitance, gate_delay=model.delay(),
-            interconnect_delay=far.interconnect_delay(), far_slew=far_slew,
-            propagated_slew=far_slew / (slew_high - slew_low),
-            ceff1=model.ceff1, tr1=model.tr1, ceff2=model.ceff2,
-            tr2_effective=model.tr2_effective, model=model, far_end=far))
-    return solutions
+    return [StageSolution.from_model(fingerprint, model, far, slew_low=slew_low,
+                                     slew_high=slew_high)
+            for (_, _, fingerprint), model, far in zip(resolved, models, fars)]
 
 
 @dataclass
@@ -332,7 +331,7 @@ class SolverStats:
 
 
 class StageSolver:
-    """Memoizing front end to :func:`solve_stage`.
+    """Memoizing front end to :func:`solve_stage_batch`.
 
     ``memo_size`` bounds the in-process LRU (0 disables it); ``persistent`` turns
     on the cross-process scalar store (True for the default directory, or an
@@ -419,53 +418,17 @@ class StageSolver:
     # --- solving --------------------------------------------------------------------
     def solve(self, cell: CellCharacterization, input_slew: float, line: RLCLine,
               load_capacitance: float, *, options: Optional[ModelingOptions] = None,
-              need_waveforms: bool = False, memoize: bool = True,
-              fingerprint: Optional[str] = None) -> StageSolution:
-        """Solve one stage, answering from the memo layers when possible.
+              need_waveforms: bool = False) -> StageSolution:
+        """Solve one stage: the one-request case of :meth:`solve_batch`.
 
         ``need_waveforms`` guarantees the returned solution carries the full
         :class:`DriverOutputModel` / :class:`FarEndResponse` (recomputing a
-        scalar-only cached entry when necessary).  ``memoize=False`` bypasses every
-        cache layer in both directions — the naive baseline the benchmarks compare
-        against.  ``fingerprint`` lets batch callers that already ran
-        :meth:`fingerprint_for` skip the second hash.
+        scalar-only cached entry when necessary).
         """
-        options = options if options is not None else ModelingOptions()
-        input_slew = self.quantize_slew(input_slew)
-        if not memoize:
-            solution = solve_stage(cell, input_slew, line, load_capacitance,
-                                   options=options, slew_low=self.slew_low,
-                                   slew_high=self.slew_high)
-            self.stats.computed += 1
-            return solution
-
-        if fingerprint is None:
-            fingerprint = self.fingerprint_for(cell, input_slew, line,
-                                               load_capacitance, options)
-        solution = self._memo.get(fingerprint)
-        if solution is not None and (solution.has_waveforms or not need_waveforms):
-            self._memo.move_to_end(fingerprint)
-            self.stats.memo_hits += 1
-            return solution
-
-        if solution is None and self.store is not None and not need_waveforms:
-            stored = self.store.get(fingerprint)
-            if stored is not None:
-                self.stats.persistent_hits += 1
-                self._remember(stored)
-                return stored
-
-        solution = solve_stage(cell, input_slew, line, load_capacitance,
-                               options=options, slew_low=self.slew_low,
-                               slew_high=self.slew_high, fingerprint=fingerprint)
-        self.stats.computed += 1
-        self._remember(solution)
-        if self.store is not None:
-            try:
-                self.store.put(fingerprint, solution.lite())
-            except OSError:
-                pass  # read-only store: the computed result is still returned
-        return solution
+        return self.solve_batch(
+            [StageRequest(cell=cell, input_slew=input_slew, line=line,
+                          load_capacitance=load_capacitance, options=options)],
+            need_waveforms=need_waveforms)[0]
 
     def solve_batch(self, requests: Sequence[StageRequest], *,
                     need_waveforms: bool = False) -> List[StageSolution]:
@@ -474,7 +437,7 @@ class StageSolver:
         Every request is checked against the memo (and the persistent store)
         individually; all misses are then solved together through
         :func:`solve_stage_batch` and installed back into the memo and the
-        persistent store exactly as :meth:`solve` would have.  Requests repeating
+        persistent store.  Requests repeating
         an earlier item's fingerprint — within this batch or across calls — are
         answered from the shared result and counted as memo hits.
         ``batched_solves`` advances by the number of lanes actually solved in

@@ -60,7 +60,7 @@ from ..characterization.library import CellLibrary, default_library
 from ..constants import SLEW_HIGH_THRESHOLD, SLEW_LOW_THRESHOLD
 from ..core.driver_model import ModelingOptions
 from ..core.stage_solver import (StageRequest, StageSolution, StageSolver,
-                                 _options_fingerprint)
+                                 _options_fingerprint, solve_stage)
 from ..errors import ModelingError
 from ..tech.technology import Technology, generic_180nm
 from .compiled import (TRANSITIONS, CompiledAnalysis, CompiledGraph,
@@ -178,9 +178,11 @@ class GraphEngine:
         The memoized path hands the whole level to
         :meth:`~repro.core.stage_solver.StageSolver.solve_batch` — memo layers
         answer per item, the unique misses are solved as one vectorized pass.
-        ``memoize=False`` keeps the per-item scalar :func:`solve_stage` loop:
-        that is the reference oracle the benchmarks (and the equivalence tests)
-        compare the batched path against, so it must not share its code.
+        ``memoize=False`` calls the scalar oracle
+        :func:`~repro.core.stage_solver.solve_stage` once per item, past every
+        cache layer: it is the independent naive baseline the benchmarks (and
+        the equivalence tests) compare the batched path against, so it must
+        not share its code.  Those solves still count as ``computed``.
         """
         if memoize:
             solved = self.solver.solve_batch(self._batch_requests(items))
@@ -188,9 +190,11 @@ class GraphEngine:
                     for item, solution in zip(items, solved)}
         solutions: Dict[str, StageSolution] = {}
         for item in items:
-            solutions[item.fingerprint] = self.solver.solve(
+            solutions[item.fingerprint] = solve_stage(
                 item.cell, item.input_slew, item.net.line, item.load,
-                options=item.options, memoize=False)
+                options=item.options, slew_low=self.solver.slew_low,
+                slew_high=self.solver.slew_high)
+            self.solver.stats.computed += 1
         return solutions
 
     # --- analysis ----------------------------------------------------------------------

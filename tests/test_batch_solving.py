@@ -14,18 +14,18 @@ import pytest
 
 from repro.characterization import default_library
 from repro.core import (ModelingOptions, StageRequest, StageSolver,
-                        ceff_first_ramp, ceff_first_ramp_batch,
-                        ceff_second_ramp, ceff_second_ramp_batch,
-                        model_driver_output, model_driver_output_batch,
-                        solve_stage, solve_stage_batch)
+                        ceff_first_ramp_batch, ceff_second_ramp_batch,
+                        model_driver_output_batch, solve_stage, solve_stage_batch)
 from repro.core.ceff import AdmittanceBatch
-from repro.core.driver_model import _admittance_for
 from repro.core.far_end import far_end_response, far_end_response_batch
-from repro.core.iteration import _fixed_point, _fixed_point_batch
+from repro.core.iteration import _fixed_point_batch
+from repro.core.scalar_oracle import (_admittance_for, _fixed_point, ceff_first_ramp,
+                                      ceff_second_ramp, model_driver_output)
 from repro.errors import ConvergenceError, ModelingError
 from repro.experiments.graph_cases import parallel_chains, standard_lines
+from repro.interconnect import RLCLine
 from repro.sta.batch import GraphEngine
-from repro.units import ps
+from repro.units import mm, nH, pF, ps
 
 
 @pytest.fixture(scope="module")
@@ -297,10 +297,32 @@ class TestFarEndBatch:
             assert np.array_equal(a.far.values, b.far.values)
 
 
+@pytest.fixture(scope="module")
+def option_requests(library):
+    """The option paths the paper outputs run: forced ramps, a half-charge
+    window, no plateau, a far load and non-default admittance fits."""
+    lines = (standard_lines()[1],
+             RLCLine(resistance=72.44, inductance=nH(5.14), capacitance=pF(1.10),
+                     length=mm(5)))
+    variants = [
+        ModelingOptions(force_two_ramp=True),
+        ModelingOptions(force_single_ramp=True),
+        ModelingOptions(force_single_ramp=True, ceff_charge_fraction=0.5),
+        ModelingOptions(transition="fall", plateau_correction=False),
+        ModelingOptions(admittance_order=6, moment_segments=37),
+        ModelingOptions(ceff_damping=0.4, ceff_rel_tol=1e-6),
+    ]
+    return [StageRequest(cell=library.get(size), input_slew=ps(90.0), line=line,
+                         load_capacitance=load, options=options)
+            for options in variants for line in lines for size in (50.0, 100.0)
+            for load in (0.0, 5e-14)]
+
+
 class TestSolveStageBatch:
-    def test_matches_solve_stage(self, stage_requests):
-        batch = solve_stage_batch(stage_requests)
-        for request, solution in zip(stage_requests, batch):
+    @staticmethod
+    def assert_matches_oracle(requests):
+        batch = solve_stage_batch(requests)
+        for request, solution in zip(requests, batch):
             scalar = solve_stage(request.cell, request.input_slew, request.line,
                                  request.load_capacitance,
                                  options=request.options)
@@ -313,6 +335,12 @@ class TestSolveStageBatch:
             assert rel_err(solution.propagated_slew,
                            scalar.propagated_slew) < 1e-9
             assert solution.has_waveforms
+
+    def test_matches_solve_stage(self, stage_requests):
+        self.assert_matches_oracle(stage_requests)
+
+    def test_option_variants_match_solve_stage(self, option_requests):
+        self.assert_matches_oracle(option_requests)
 
 
 class TestSolverSolveBatch:
@@ -347,6 +375,8 @@ class TestSolverSolveBatch:
         assert solver.stats.computed == 2
 
     def test_batch_results_identical_to_scalar_solve_path(self, stage_requests):
+        # solve() is the one-request batch, so this pins how far a lane may move
+        # with its batch's composition.
         batch_solver = StageSolver()
         scalar_solver = StageSolver()
         batch = batch_solver.solve_batch(stage_requests)

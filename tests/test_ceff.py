@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit, PWLSource, TransientOptions, run_transient
-from repro.core import ceff_first_ramp, ceff_second_ramp, ramp_charge, ramp_current
+from repro.core.scalar_oracle import (ceff_first_ramp, ceff_second_ramp, ramp_charge,
+                                      ramp_current)
 from repro.errors import ModelingError
 from repro.interconnect import (RationalAdmittance, RLCLine, admittance_moments,
                                 fit_rational_admittance)

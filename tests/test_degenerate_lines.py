@@ -4,7 +4,8 @@ Lines whose inductance or resistance is vanishingly small, with and without a
 far-end load, must either reproduce the scalar :func:`model_driver_output`
 oracle lane by lane or raise a :class:`~repro.errors.ModelingError` exactly
 where the oracle does.  Neither path may produce a NaN or let a NumPy
-``RuntimeWarning`` escape.
+``RuntimeWarning`` escape.  Past the driver model, both far ends refuse a line
+whose time of flight is too short for their fixed step.
 """
 
 import math
@@ -13,7 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import ModelingOptions, model_driver_output, model_driver_output_batch
+from repro.core import (ModelingOptions, far_end_response, far_end_response_batch,
+                        model_driver_output_batch)
+from repro.core.scalar_oracle import model_driver_output
 from repro.errors import ModelingError
 from repro.interconnect import RLCLine
 from repro.units import mm, nH, pF, ps
@@ -82,3 +85,20 @@ def test_mixed_degenerate_batch_matches_one_lane_batches(library):
         np.testing.assert_allclose(
             [shared.gate_delay, shared.tr1, shared.ceff1],
             [single.gate_delay, single.tr1, single.ceff1], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["L->0", "R,L->0"])
+@pytest.mark.parametrize("load", [0.0, 2e-14])
+def test_vanishing_inductance_is_refused_by_both_far_ends(library, name, load):
+    """L = 1e-21 H gives a ~7e-19 s step, ~1e8 steps: refused before allocating."""
+    cell = library.get(75.0)
+    model = model_driver_output_batch(
+        [(cell, ps(80), LINES[name], load, ModelingOptions())])[0]
+    with pytest.raises(ModelingError, match="steps"):
+        far_end_response_batch([model])
+    with pytest.raises(ModelingError, match="steps"):
+        far_end_response(model)
+    nominal = model_driver_output_batch(
+        [(cell, ps(80), LINES["nominal"], load, ModelingOptions())])[0]
+    with pytest.raises(ModelingError, match="steps"):
+        far_end_response_batch([nominal, model])  # one refused lane fails the batch

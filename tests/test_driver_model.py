@@ -7,7 +7,7 @@ from repro.baselines import (half_charge_ceff_model, rc_equivalent_line,
                              total_capacitance_model)
 from repro.core import ModelingOptions, far_end_response, model_driver_output
 from repro.errors import ModelingError
-from repro.interconnect import RLCLine
+from repro.interconnect import RLCLine, admittance_moments, fit_rational_admittance
 from repro.units import fF, mm, nH, pF, ps, to_ps
 
 
@@ -159,6 +159,17 @@ class TestBaselines:
         half = half_charge_ceff_model(cell75, ps(100), line_5mm)
         assert full.kind == "single-ramp" and half.kind == "single-ramp"
         assert full.ceff1 > 1.02 * half.ceff1
+
+    def test_single_ceff_model_keeps_admittance_options(self, cell75, line_5mm):
+        options = ModelingOptions(admittance_order=6, moment_segments=37,
+                                  force_two_ramp=True)
+        model = single_ceff_model(cell75, ps(100), line_5mm, fF(20), options=options)
+        expected = fit_rational_admittance(
+            admittance_moments(line_5mm, fF(20), order=6, n_segments=37))
+        assert model.kind == "single-ramp"
+        assert model.admittance == expected
+        assert model.admittance != single_ceff_model(cell75, ps(100), line_5mm,
+                                                     fF(20)).admittance
 
     def test_total_capacitance_model_uses_total(self, cell75, line_5mm):
         model = total_capacitance_model(cell75, ps(100), line_5mm, fF(30))

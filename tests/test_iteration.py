@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import iterate_ceff1, iterate_ceff2
+from repro.core.scalar_oracle import iterate_ceff1, iterate_ceff2
 from repro.errors import ConvergenceError, ModelingError
 from repro.interconnect import RationalAdmittance, admittance_moments, fit_rational_admittance
 from repro.units import fF, ps
@@ -52,7 +52,7 @@ class TestCeff1Iteration:
         assert early.ceff < full.ceff
 
     def test_consistency_between_ceff_and_ramp_time(self, cell75, inductive_admittance):
-        from repro.core import ceff_first_ramp
+        from repro.core.scalar_oracle import ceff_first_ramp
 
         result = iterate_ceff1(cell75, ps(100), inductive_admittance, 0.57,
                                rel_tol=1e-6, damping=0.5)
@@ -89,3 +89,20 @@ class TestCeff2Iteration:
     def test_requires_positive_tr1(self, cell75, inductive_admittance):
         with pytest.raises(ModelingError):
             iterate_ceff2(cell75, ps(100), inductive_admittance, 0.6, 0.0)
+
+
+class TestProductionCeff1:
+    """``repro.core.iterate_ceff1`` is one lane of the batch fixed point."""
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_matches_the_driver_model_lane_bit_for_bit(self, cell75, line_5mm_module,
+                                                       fraction):
+        from repro.core import ModelingOptions, iterate_ceff1 as production_ceff1
+        from repro.core import model_driver_output
+
+        model = model_driver_output(
+            cell75, ps(100), line_5mm_module,
+            options=ModelingOptions(force_single_ramp=True,
+                                    ceff_charge_fraction=fraction))
+        result = production_ceff1(cell75, ps(100), model.admittance, fraction)
+        assert result == model.ceff1_iteration

@@ -284,6 +284,21 @@ class TestHTTP:
             client.wns("custom")
         assert excinfo.value.status == 404
 
+    def test_attach_refuses_vanishing_inductance(self, client):
+        # L -> 0 shrinks the far end's fixed step with the time of flight; the
+        # design must be refused (422) before any step is taken, not stall the
+        # daemon, and must not be registered.
+        spec = json.loads(json.dumps(SPEC))
+        spec["nets"][0]["line"]["inductance"] = 1e-21
+        with pytest.raises(ServeError) as excinfo:
+            client.attach("flat", spec=spec)
+        assert excinfo.value.status == 422
+        assert "steps" in excinfo.value.message
+        assert all(d["name"] != "flat" for d in client.designs())
+        with pytest.raises(ServeError) as excinfo:
+            client.wns("flat")
+        assert excinfo.value.status == 404
+
     def test_warm_queries_never_reanalyze(self, client, attached):
         analyses = client.design_stats(attached)["analyses"]
         for _ in range(5):

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.core import (ModelingOptions, StageSolution, StageSolutionStore,
-                        StageSolver, far_end_response, model_driver_output,
-                        solve_stage, stage_fingerprint)
+from repro.core import (ModelingOptions, StageRequest, StageSolution,
+                        StageSolutionStore, StageSolver, far_end_response,
+                        solve_stage, solve_stage_batch, stage_fingerprint)
+from repro.core.scalar_oracle import model_driver_output
 from repro.errors import ModelingError
 from repro.interconnect import RLCLine
 from repro.interconnect.parasitics import LineParasitics
@@ -116,14 +117,16 @@ class TestStageSolver:
         assert solver.stats.hit_rate == pytest.approx(0.5)
 
     def test_memoize_false_bypasses_but_matches(self, cell75, line):
+        # The uncached path is the bare batch solve the memo fronts: it never
+        # touches the solver, and it reproduces the memoized entry exactly.
         solver = StageSolver()
         options = ModelingOptions(transition="fall")
         cached = solver.solve(cell75, ps(100), line, 1e-14, options=options)
-        fresh = solver.solve(cell75, ps(100), line, 1e-14, options=options,
-                             memoize=False)
+        fresh = solve_stage_batch([StageRequest(cell75, ps(100), line, 1e-14,
+                                                options=options)])[0]
         assert fresh is not cached
         assert fresh.lite() == cached.lite()
-        assert solver.stats.computed == 2
+        assert solver.stats.computed == 1
 
     def test_lru_bound(self, cell75, line, other_line):
         solver = StageSolver(memo_size=2)
@@ -135,8 +138,10 @@ class TestStageSolver:
     def test_need_waveforms_upgrades_lite_entries(self, cell75, line, tmp_path):
         solver = StageSolver(persistent=tmp_path)
         options = ModelingOptions(transition="fall")
-        lite = solve_stage(cell75, ps(100), line, 1e-14,
-                           options=options).lite()
+        # The store is filled by the production (batch) path, so the expected
+        # entry comes from it too.
+        lite = solve_stage_batch([StageRequest(cell75, ps(100), line, 1e-14,
+                                               options=options)])[0].lite()
         solver.store.put(lite.fingerprint, lite)
         scalar = solver.solve(cell75, ps(100), line, 1e-14, options=options)
         assert scalar == lite  # the stored lite entry answers scalar requests
